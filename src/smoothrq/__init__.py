@@ -54,6 +54,7 @@ from .losses import (
     check_classic,
     check_smooth,
     check_smooth_deriv,
+    classic_total,
     grad_total,
     loss_and_grad,
     loss_total,
@@ -65,7 +66,6 @@ from .optim import (
     SolveReport,
     SolverError,
     minimize_qn,
-    minimize_scalar_convex,
     solve_lp_simplex,
 )
 
@@ -79,11 +79,11 @@ __all__ = [
     "load_swiss", "write_csv",
     # losses
     "FlexCheckParams", "SRQ", "SMRQ", "check_classic", "check_smooth",
-    "check_smooth_deriv", "grad_total", "loss_and_grad", "loss_total",
+    "check_smooth_deriv", "classic_total", "grad_total", "loss_and_grad", "loss_total",
     "smoothing_gap",
     # optimizers
     "LPProblem", "QNConfig", "SolveReport", "SolverError", "minimize_qn",
-    "minimize_scalar_convex", "solve_lp_simplex",
+    "solve_lp_simplex",
     # estimators
     "QuantileFit", "RRQModel", "TauGrid", "fit_grid", "fit_rq_lp", "fit_rrq",
     "fit_smooth",

@@ -25,6 +25,7 @@ import json
 import sys
 import time
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -44,16 +45,29 @@ from .datagen import (
     load_csv,
     load_swiss,
 )
-from .diagnostics import CountCurve, GridResult, count_below, detect_events, suppress_events
-from .estimators import TauGrid, fit_grid, fit_rq_lp, fit_rrq, fit_smooth
-from .losses import SRQ, SMRQ, FlexCheckParams, check_classic, loss_total
+from .diagnostics import (
+    MIN_EVENT_LEVELS,
+    CountCurve,
+    GridResult,
+    count_below,
+    detect_events,
+    suppress_events,
+)
+from .estimators import (
+    METHODS,
+    SMOOTH_PRESETS,
+    TauGrid,
+    fit_grid,
+    fit_rq_lp,
+    fit_rrq,
+    fit_smooth,
+)
+from .losses import SRQ, FlexCheckParams, classic_total, loss_total
 from .optim import SolverError
 
 __all__ = ["RunManifest", "build_parser", "main", "entrypoint", "run_bench"]
 
-_BUILTINS = {"swiss": ("Fertility", load_swiss), "anscombe": ("y1", load_anscombe)}
-_SMOOTH_PRESETS = {"srq": SRQ, "smrq": SMRQ}
-_METHOD_CHOICES = ("rq", "srq", "smrq", "rrq", "flex")
+_BUILTINS = {"swiss": load_swiss, "anscombe": load_anscombe}
 
 # fixed palette so repeated runs color methods identically
 _COLORS = ("#1b6ca8", "#c23b22", "#2e7d32", "#8e44ad", "#e67e22", "#00838f")
@@ -105,23 +119,29 @@ def _parse_grid(text: str) -> TauGrid:
     """Either a point count m (levels i/(m+1)) or a start,end,step triple."""
     try:
         if "," not in text:
-            return TauGrid.from_count(int(text))
-        parts = [float(tok) for tok in text.split(",")]
-        if len(parts) != 3:
-            raise ValueError(f"expected start,end,step, got {text!r}")
-        return TauGrid.from_step(*parts)
+            grid = TauGrid.from_count(int(text))
+        else:
+            parts = [float(tok) for tok in text.split(",")]
+            if len(parts) != 3:
+                raise ValueError(f"expected start,end,step, got {text!r}")
+            grid = TauGrid.from_step(*parts)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
+    if len(grid) < MIN_EVENT_LEVELS:
+        raise argparse.ArgumentTypeError(
+            f"grid {text!r} has {len(grid)} levels; classifying events needs "
+            f"at least {MIN_EVENT_LEVELS}")
+    return grid
 
 
-def _parse_methods(text: str) -> list[str]:
+def _parse_methods(text: str, choices=METHODS) -> list[str]:
     methods = [tok.strip() for tok in text.split(",") if tok.strip()]
     if not methods:
         raise argparse.ArgumentTypeError("empty method list")
     for m in methods:
-        if m not in _METHOD_CHOICES:
+        if m not in choices:
             raise argparse.ArgumentTypeError(
-                f"unknown method {m!r}, choose from {', '.join(_METHOD_CHOICES)}")
+                f"unknown method {m!r}, choose from {', '.join(choices)}")
     if len(set(methods)) != len(methods):
         raise argparse.ArgumentTypeError(f"duplicate method in {text!r}")
     return methods
@@ -150,11 +170,12 @@ def _tau_flag(text: str) -> float:
 def _load_dataset(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Dataset:
     name = args.data
     if name in _BUILTINS and not Path(name).exists():
-        default, loader = _BUILTINS[name]
-        if args.response not in (None, default):
-            parser.error(f"builtin dataset {name!r} has fixed response {default!r}; "
-                         "pass a CSV path to regress on another column")
-        return loader()
+        data = _BUILTINS[name]()
+        if args.response not in (None, data.response_name):
+            parser.error(f"builtin dataset {name!r} has fixed response "
+                         f"{data.response_name!r}; pass a CSV path to regress on "
+                         "another column")
+        return data
     if args.response is None:
         parser.error("--response is required for CSV input")
     return load_csv(name, CsvSchema(response=args.response))
@@ -197,7 +218,7 @@ def _qs_params(method: str, flex: FlexCheckParams | None) -> FlexCheckParams:
     # the default sharp smoothing so the smooth-vs-exact gap is visible
     if method == "flex":
         return flex
-    return _SMOOTH_PRESETS.get(method, SRQ)
+    return SMOOTH_PRESETS.get(method, SRQ)
 
 
 # ---------------------------------------------------------------------------
@@ -213,19 +234,15 @@ def cmd_fit(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         beta, status = fit.beta, fit.report.status
     elif args.method == "rrq":
         model = fit_rrq(data, [args.tau])
-        beta, status = model.plane(0), model.med_report.status
-        if model.homoscedastic_degenerate:
-            status += "; homoscedastic-degenerate, family collapsed to the median plane"
-        elif model.negative_scales:
-            status += "; some fitted scales are negative"
+        beta, status = model.plane(0), model.status
     else:
-        params = flex if args.method == "flex" else _SMOOTH_PRESETS[args.method]
+        params = flex if args.method == "flex" else SMOOTH_PRESETS[args.method]
         init = fit_rq_lp(data, args.tau).beta if args.warm_start else None
         fit = fit_smooth(data, args.tau, params=params, init=init)
         beta, status = fit.beta, fit.report.status
 
     qs = _qs_params(args.method, flex)
-    q_classic = float(np.sum(check_classic(data.residuals(beta), args.tau)))
+    q_classic = classic_total(data, beta, args.tau)
     q_smooth = loss_total(data, beta, args.tau, qs)
 
     width = max(len(name) for name in data.column_names)
@@ -514,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(fit)
     fit.add_argument("--tau", type=_tau_flag, required=True,
                      help="quantile level in (0, 1)")
-    fit.add_argument("--method", choices=_METHOD_CHOICES, required=True)
+    fit.add_argument("--method", choices=METHODS, required=True)
     fit.add_argument("--warm-start", action="store_true",
                      help="start the smooth solver from the exact LP solution")
     _add_flex_flags(fit)
@@ -525,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--grid", type=_parse_grid, required=True,
                       help="point count m (levels i/(m+1)), or start,end,step")
     grid.add_argument("--methods", type=_parse_methods, required=True,
-                      help="comma-separated subset of rq,srq,smrq,rrq,flex")
+                      help=f"comma-separated subset of {','.join(METHODS)}")
     grid.add_argument("--suppress", action="store_true",
                       help="also report each method after event suppression (-s columns)")
     grid.add_argument("--svg", action="store_true",
@@ -540,7 +557,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated observation counts, each >= 3")
     bench.add_argument("--replicates", type=int, default=10)
     bench.add_argument("--seed", type=int, required=True)
-    bench.add_argument("--methods", type=_parse_methods, required=True)
+    # bench has no --c/--h/--s/--v, so it cannot shape a flex loss
+    bench.add_argument("--methods", required=True, type=partial(
+        _parse_methods, choices=tuple(m for m in METHODS if m != "flex")))
     bench.add_argument("--out", required=True, help="output directory")
     bench.set_defaults(func=cmd_bench)
 

@@ -28,9 +28,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .datagen import Dataset
+from .datagen import DataError, Dataset
 
 __all__ = [
+    "MIN_EVENT_LEVELS",
     "Spike",
     "Pulse",
     "WideEvent",
@@ -47,6 +48,9 @@ __all__ = [
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
+
+# event windows need a neighbor on each side of an interior index
+MIN_EVENT_LEVELS = 3
 
 
 class Spike(NamedTuple):
@@ -150,18 +154,27 @@ class GridResult:
             )
 
 
-def count_below(data: Dataset, beta) -> int:
-    """Number of observations strictly below the fitted plane (ties excluded)."""
-    return int(np.sum(data.y < data.predict(beta)))
+def count_below(data: Dataset, beta):
+    """Number of observations strictly below the fitted plane (ties excluded).
+
+    beta is one plane, giving an int, or an (m, p) stack of planes, giving an
+    array of m counts.  Each plane is predicted by its own matrix-vector
+    product, so a stacked count equals the per-plane counts bit for bit even
+    when a plane passes within an ulp of a data point.
+    """
+    beta = np.asarray(beta, dtype=float)
+    betas = np.atleast_2d(beta)
+    if betas.ndim != 2 or betas.shape[1] != data.n_coef:
+        raise DataError(f"planes have shape {beta.shape}, expected ({data.n_coef},) "
+                        f"or (m, {data.n_coef})")
+    counts = (data.y < (data.X @ betas[:, :, None])[:, :, 0]).sum(axis=1)
+    return int(counts[0]) if beta.ndim < 2 else counts
 
 
 def count_curve(data: Dataset, grid_result: GridResult) -> CountCurve:
     """Below-count at every grid row of a fitted family."""
-    counts = np.fromiter(
-        (count_below(data, b) for b in grid_result.coefficients),
-        dtype=int, count=grid_result.taus.size,
-    )
-    return CountCurve(taus=grid_result.taus.copy(), counts=counts, n=data.n_obs)
+    return CountCurve(taus=grid_result.taus.copy(),
+                      counts=count_below(data, grid_result.coefficients), n=data.n_obs)
 
 
 def _find_window(v, i, lo):
@@ -207,8 +220,9 @@ def detect_events(curve: CountCurve) -> EventReport:
     """
     v = curve.counts
     L = v.size
-    if L < 3:
-        raise ValueError(f"need at least 3 grid points to classify events, got {L}")
+    if L < MIN_EVENT_LEVELS:
+        raise ValueError(
+            f"need at least {MIN_EVENT_LEVELS} grid points to classify events, got {L}")
     report = EventReport()
     lo = 0
     pos = 0
@@ -244,12 +258,11 @@ def _replace_with_best_candidate(data, betas, counts, j):
     if 0 < j < L - 1:
         cands.append(0.5 * (betas[j - 1] + betas[j + 1]))
     if j > 0:
-        cands.append(betas[j - 1].copy())
+        cands.append(betas[j - 1])
     if j < L - 1:
-        cands.append(betas[j + 1].copy())
+        cands.append(betas[j + 1])
     best = None
-    for cand in cands:
-        cj = count_below(data, cand)
+    for cand, cj in zip(cands, count_below(data, np.array(cands))):
         viol = 0
         if j > 0 and cj < counts[j - 1]:
             viol += 1
@@ -305,8 +318,7 @@ def suppress_events(grid_result: GridResult, report: EventReport,
     """
     data = grid_result.dataset
     betas = grid_result.coefficients.copy()
-    counts = np.fromiter((count_below(data, b) for b in betas), dtype=int,
-                         count=grid_result.taus.size)
+    counts = count_below(data, betas)
     current = report
     passes = 0
     while (current.spike_count or current.pulse_count) and passes < max_passes:
@@ -318,8 +330,7 @@ def suppress_events(grid_result: GridResult, report: EventReport,
                 _replace_with_best_candidate(data, betas, counts, j)
             else:
                 _suppress_pulse(data, betas, counts, j)
-        counts = np.fromiter((count_below(data, b) for b in betas), dtype=int,
-                             count=grid_result.taus.size)
+        counts = count_below(data, betas)
         current = detect_events(CountCurve(grid_result.taus.copy(), counts, data.n_obs))
 
     curve = CountCurve(grid_result.taus.copy(), counts.copy(), data.n_obs)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .datagen import Dataset
 from .diagnostics import GridResult, count_curve
-from .losses import SRQ, SMRQ, FlexCheckParams, check_classic, loss_and_grad
+from .losses import SRQ, SMRQ, FlexCheckParams, _pinball, classic_total, loss_and_grad
 from .optim import (
     CONVERGED,
     DEGENERATE_MULTIPLE,
@@ -34,12 +34,13 @@ from .optim import (
     SolveReport,
     SolverError,
     minimize_qn,
-    minimize_scalar_convex,
     solve_lp_simplex,
 )
 
 __all__ = [
     "FIT_GRAD_RTOL",
+    "METHODS",
+    "SMOOTH_PRESETS",
     "TauGrid",
     "QuantileFit",
     "RRQModel",
@@ -52,8 +53,8 @@ __all__ = [
 # a fit is accepted when ||grad||_inf <= FIT_GRAD_RTOL * max(1, ||beta||_inf)
 FIT_GRAD_RTOL = 1e-6
 
-_SMOOTH_METHODS = {"srq": SRQ, "smrq": SMRQ}
-_ALL_METHODS = ("rq", "rrq", "srq", "smrq", "flex")
+METHODS = ("rq", "srq", "smrq", "rrq", "flex")
+SMOOTH_PRESETS = {"srq": SRQ, "smrq": SMRQ}
 
 
 @dataclass
@@ -145,13 +146,20 @@ class RRQModel:
     def planes(self) -> np.ndarray:
         return self.beta_med[None, :] + np.outer(self.c, self.gamma)
 
+    @property
+    def status(self) -> str:
+        """The median fit's status, noting a collapsed family or negative scales."""
+        if self.homoscedastic_degenerate:
+            return (self.med_report.status
+                    + "; homoscedastic-degenerate, family collapsed to the median plane")
+        if self.negative_scales:
+            return self.med_report.status + "; some fitted scales are negative"
+        return self.med_report.status
+
 
 def _method_tag(params: FlexCheckParams) -> str:
-    if params == SRQ:
-        return "srq"
-    if params == SMRQ:
-        return "smrq"
-    return "flex"
+    return next((name for name, preset in SMOOTH_PRESETS.items() if preset == params),
+                "flex")
 
 
 def fit_smooth(data: Dataset, tau: float, params: FlexCheckParams = SRQ,
@@ -184,10 +192,6 @@ def fit_smooth(data: Dataset, tau: float, params: FlexCheckParams = SRQ,
                        report=report)
 
 
-def _classic_objective(data: Dataset, beta, tau: float) -> float:
-    return float(np.sum(check_classic(data.residuals(beta), tau)))
-
-
 def _refine_vertex(data: Dataset, beta: np.ndarray, tau: float) -> np.ndarray:
     """Re-solve the fitted plane through the points it interpolates.
 
@@ -207,8 +211,8 @@ def _refine_vertex(data: Dataset, beta: np.ndarray, tau: float) -> np.ndarray:
         return beta
     if not np.isfinite(refined).all():
         return beta
-    before = _classic_objective(data, beta, tau)
-    after = _classic_objective(data, refined, tau)
+    before = classic_total(data, beta, tau)
+    after = classic_total(data, refined, tau)
     if after <= before * (1.0 + 1e-12) + 1e-12:
         return refined
     return beta
@@ -236,7 +240,7 @@ def _best_interval_endpoint(data: Dataset, beta: np.ndarray, tau: float) -> np.n
         cands.append(np.array([float(below.max())]))
     if not cands:
         return np.asarray(beta, dtype=float)
-    vals = [_classic_objective(data, c, tau) for c in cands]
+    vals = [classic_total(data, c, tau) for c in cands]
     return cands[int(np.argmin(vals))]
 
 
@@ -276,7 +280,7 @@ def fit_rq_lp(data: Dataset, tau: float) -> QuantileFit:
         beta = _best_interval_endpoint(data, beta, tau)
     report = SolveReport(
         x=beta,
-        fun=_classic_objective(data, beta, tau),
+        fun=classic_total(data, beta, tau),
         iterations=lp.iterations,
         status=status,
         zero_rc_columns=lp.zero_rc_columns,
@@ -295,7 +299,7 @@ def _direction_step_exact(r: np.ndarray, s: np.ndarray, tau: float) -> float:
     """
     cands = np.unique(np.concatenate([r / s, [0.0]]))
     u = r[None, :] - cands[:, None] * s[None, :]
-    g = np.where(u >= 0, tau * u, (tau - 1.0) * u).sum(axis=1)
+    g = _pinball(u, tau).sum(axis=1)
     gmin = float(g.min())
     flat = cands[g <= gmin + 1e-10 * (1.0 + abs(gmin))]
     lo, hi = float(flat[0]), float(flat[-1])
@@ -307,8 +311,8 @@ def fit_rrq(data: Dataset, tau_grid) -> RRQModel:
 
     Step 1 fits the median by LP; step 2 median-regresses the absolute
     residuals on the same predictors to get gamma; step 3 picks each c as the
-    exact piecewise-linear minimizer when every fitted scale is nonzero and
-    falls back to golden-section search otherwise.  If all scales vanish the
+    exact piecewise-linear minimizer over the rows with nonzero fitted scale
+    (a row with zero scale adds a constant in c).  If all scales vanish the
     family collapses to the median plane (c = 0 everywhere) and the
     homoscedastic_degenerate flag is raised.
     """
@@ -322,21 +326,15 @@ def fit_rrq(data: Dataset, tau_grid) -> RRQModel:
     gamma = scale.beta
     s = data.X @ gamma
 
-    smax = float(np.abs(s).max())
-    degenerate = smax <= 1e-12 * max(1.0, float(np.abs(r).max()))
-    exact = not degenerate and bool((np.abs(s) > 0.0).all())
-    bracket = 10.0 * float(np.abs(r).max()) / max(smax, 1e-12)
+    degenerate = float(np.abs(s).max()) <= 1e-12 * max(1.0, float(np.abs(r).max()))
+    moving = s != 0
+    r_moving, s_moving = r[moving], s[moving]
 
     c = np.zeros(len(grid))
     for k, tau in enumerate(grid):
         if degenerate or tau == 0.5:
             continue  # c stays 0: collapsed family, or the median anchor itself
-        if exact:
-            c[k] = _direction_step_exact(r, s, tau)
-        else:
-            def g(step, _tau=tau):
-                return float(np.sum(check_classic(r - step * s, _tau)))
-            c[k] = minimize_scalar_convex(g, (-bracket, bracket))
+        c[k] = _direction_step_exact(r_moving, s_moving, tau)
 
     return RRQModel(
         taus=grid.values.copy(),
@@ -362,8 +360,8 @@ def fit_grid(data: Dataset, tau_grid, method: str,
     attached only when every level produced coefficients.
     """
     grid = TauGrid.coerce(tau_grid)
-    if method not in _ALL_METHODS:
-        raise ValueError(f"unknown method {method!r}, expected one of {_ALL_METHODS}")
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
     m, p = len(grid), data.n_coef
     coefs = np.full((m, p), np.nan)
     statuses: list[str] = []
@@ -371,12 +369,7 @@ def fit_grid(data: Dataset, tau_grid, method: str,
     if method == "rrq":
         model = fit_rrq(data, grid)
         coefs = model.planes()
-        note = ""
-        if model.homoscedastic_degenerate:
-            note = "; homoscedastic-degenerate, family collapsed to the median plane"
-        elif model.negative_scales:
-            note = "; some fitted scales are negative"
-        statuses = [model.med_report.status + note] * m
+        statuses = [model.status] * m
     elif method == "rq":
         for k, tau in enumerate(grid):
             fit = fit_rq_lp(data, tau)
@@ -387,7 +380,7 @@ def fit_grid(data: Dataset, tau_grid, method: str,
             if params is None:
                 raise ValueError("method 'flex' needs explicit FlexCheckParams")
         else:
-            params = _SMOOTH_METHODS[method]
+            params = SMOOTH_PRESETS[method]
         prev = None
         for k, tau in enumerate(grid):
             init = prev if warm_start else None

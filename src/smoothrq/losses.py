@@ -33,6 +33,7 @@ __all__ = [
     "check_classic",
     "check_smooth",
     "check_smooth_deriv",
+    "classic_total",
     "loss_total",
     "grad_total",
     "loss_and_grad",
@@ -107,21 +108,27 @@ def _log_cosh(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _smooth_terms(r: np.ndarray, tau: float, params: FlexCheckParams):
+    """F(r) and F'(r) of the smooth check loss; tau checked, r finite floats."""
+    z = params.c * (r - params.h)
+    f = _log_cosh(z) / (2.0 * params.c) + (tau - params.s) * r + params.v
+    return f, 0.5 * np.tanh(z) + (tau - params.s)
+
+
+def _pinball(u: np.ndarray, tau: float) -> np.ndarray:
+    return np.where(u >= 0, tau * u, (tau - 1.0) * u)
+
+
 def check_classic(r, tau):
     """Pinball loss: tau * r above zero, (tau - 1) * r below."""
     tau = _check_tau(tau)
-    arr = _as_residuals(r)
-    out = np.where(arr >= 0, tau * arr, (tau - 1.0) * arr)
-    return _maybe_scalar(out, r)
+    return _maybe_scalar(_pinball(_as_residuals(r), tau), r)
 
 
 def check_smooth(r, tau, params: FlexCheckParams = SRQ):
     """Smooth check loss F(r, tau) = logcosh(c (r - h)) / (2 c) + (tau - s) r + v."""
     tau = _check_tau(tau)
-    arr = _as_residuals(r)
-    z = params.c * (arr - params.h)
-    out = _log_cosh(z) / (2.0 * params.c) + (tau - params.s) * arr + params.v
-    return _maybe_scalar(out, r)
+    return _maybe_scalar(_smooth_terms(_as_residuals(r), tau, params)[0], r)
 
 
 def check_smooth_deriv(r, tau, params: FlexCheckParams = SRQ):
@@ -131,21 +138,22 @@ def check_smooth_deriv(r, tau, params: FlexCheckParams = SRQ):
     line, matching the subgradient range of the pinball loss.
     """
     tau = _check_tau(tau)
-    arr = _as_residuals(r)
-    out = 0.5 * np.tanh(params.c * (arr - params.h)) + (tau - params.s)
-    return _maybe_scalar(out, r)
+    return _maybe_scalar(_smooth_terms(_as_residuals(r), tau, params)[1], r)
+
+
+def classic_total(data: Dataset, beta, tau) -> float:
+    """Sum of the pinball loss over a dataset at coefficients beta."""
+    return float(np.sum(check_classic(data.residuals(beta), tau)))
 
 
 def loss_total(data: Dataset, beta, tau, params: FlexCheckParams = SRQ) -> float:
     """Sum of the smooth check loss over a dataset at coefficients beta."""
-    r = data.residuals(beta)
-    return float(np.sum(check_smooth(r, tau, params)))
+    return loss_and_grad(data, beta, tau, params)[0]
 
 
 def grad_total(data: Dataset, beta, tau, params: FlexCheckParams = SRQ) -> np.ndarray:
     """Gradient of loss_total with respect to beta: -X' F'(y - X beta)."""
-    r = data.residuals(beta)
-    return -(data.X.T @ check_smooth_deriv(r, tau, params))
+    return loss_and_grad(data, beta, tau, params)[1]
 
 
 def loss_and_grad(data: Dataset, beta, tau, params: FlexCheckParams = SRQ):
@@ -154,7 +162,5 @@ def loss_and_grad(data: Dataset, beta, tau, params: FlexCheckParams = SRQ):
     r = data.residuals(beta)
     if not np.isfinite(r).all():
         raise ValueError("residuals must be finite")
-    z = params.c * (r - params.h)
-    f = float(np.sum(_log_cosh(z) / (2.0 * params.c) + (tau - params.s) * r + params.v))
-    deriv = 0.5 * np.tanh(z) + (tau - params.s)
-    return f, -(data.X.T @ deriv)
+    f, deriv = _smooth_terms(r, tau, params)
+    return float(np.sum(f)), -(data.X.T @ deriv)

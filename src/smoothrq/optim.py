@@ -1,13 +1,11 @@
-"""Deterministic solvers: quasi-Newton descent, golden-section, dense simplex.
+"""Deterministic solvers: quasi-Newton descent and dense simplex.
 
-Nothing in this module knows about quantiles.  It provides three generic
+Nothing in this module knows about quantiles.  It provides two generic
 primitives with reproducible behavior:
 
 * minimize_qn: BFGS-style minimizer for smooth convex objectives, with an
   Armijo backtracking line search and a curvature guard on the inverse-Hessian
   update.  Identical inputs produce bit-identical outputs.
-* minimize_scalar_convex: derivative-free golden-section search for scalar
-  convex functions, with a documented tie-break for flat minima.
 * solve_lp_simplex: two-phase primal simplex on a dense tableau using Bland's
   anti-cycling rule, reporting optimum multiplicity when a non-basic column
   has zero reduced cost.
@@ -31,7 +29,6 @@ __all__ = [
     "INFEASIBLE",
     "DEGENERATE_MULTIPLE",
     "minimize_qn",
-    "minimize_scalar_convex",
     "solve_lp_simplex",
 ]
 
@@ -254,51 +251,6 @@ def minimize_qn(fun_and_grad, x0, config: QNConfig | None = None) -> SolveReport
 
     return SolveReport(x=x, fun=f, iterations=it, status=status, message=message,
                        grad_norm=float(np.abs(g).max()) if p else 0.0)
-
-
-def minimize_scalar_convex(f, bracket) -> float:
-    """Golden-section minimum of a scalar convex function on a bracket.
-
-    The interval is shrunk to width 1e-9 * max(1, |a|, |b|).  The returned
-    point is chosen among the final interval endpoints, its midpoint, and 0
-    (when 0 lies inside the bracket): of those whose value ties the best one
-    within a 1e-10 relative margin, the point of smallest absolute value wins.
-    For strictly convex functions this is just the interval midpoint; for
-    piecewise-linear objectives whose minimum is a flat segment it means a
-    zero that attains the minimum is returned exactly.
-    """
-    a0, b0 = float(bracket[0]), float(bracket[1])
-    if not (np.isfinite(a0) and np.isfinite(b0)):
-        raise ValueError(f"bracket must be finite, got {bracket}")
-    if a0 > b0:
-        a0, b0 = b0, a0
-    if a0 == b0:
-        return a0
-    tol = 1e-9 * max(1.0, abs(a0), abs(b0))
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-
-    a, b = a0, b0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-
-    mid = 0.5 * (a + b)
-    candidates = [(mid, f(mid)), (a, f(a)), (b, f(b))]
-    if a0 <= 0.0 <= b0:
-        candidates.append((0.0, f(0.0)))
-    best = min(fx for _, fx in candidates)
-    margin = 1e-10 * (1.0 + abs(best))
-    flat = [x for x, fx in candidates if fx <= best + margin]
-    return min(flat, key=abs)
 
 
 def _pivot_until_optimal(T, z, basis, allowed, cost_scale, cap, it):

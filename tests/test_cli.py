@@ -71,6 +71,21 @@ class TestFlagValidation:
         assert exit_code(["grid", "--data", "anscombe", "--grid", "3",
                           "--methods", "rq,rq", "--out", str(tmp_path)]) == 2
 
+    def test_grid_too_short_to_classify(self, tmp_path, capsys):
+        for i, grid in enumerate(("1", "2", "0.4,0.6,0.2")):
+            out_dir = tmp_path / f"g{i}"
+            assert exit_code(["grid", "--data", "anscombe", "--grid", grid,
+                              "--methods", "rq", "--out", str(out_dir)]) == 2
+            assert "at least 3" in capsys.readouterr().err
+            assert not out_dir.exists()
+
+    def test_bench_rejects_flex(self, tmp_path, capsys):
+        assert exit_code(["bench", "--kind", "normal", "--sizes", "20",
+                          "--seed", "1", "--methods", "rq,flex",
+                          "--out", str(tmp_path / "b")]) == 2
+        assert "choose from rq, srq, smrq, rrq\n" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+
     def test_bench_sizes_too_small(self, tmp_path):
         assert exit_code(["bench", "--kind", "normal", "--sizes", "2",
                           "--seed", "1", "--methods", "rq",

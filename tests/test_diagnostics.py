@@ -5,6 +5,7 @@ import pytest
 
 from smoothrq import (
     CountCurve,
+    DataError,
     Dataset,
     EventReport,
     GridResult,
@@ -66,6 +67,20 @@ class TestCountBelow:
         dp = Dataset.from_predictors(x[perm], y[perm])
         for beta in ([0.5, 0.1], [-1.0, 0.3], [0.0, 0.0]):
             assert count_below(d, beta) == count_below(dp, beta)
+
+    def test_stack_matches_per_plane_counts_exactly(self):
+        # rq vertices pass through data points, so a prediction one ulp off
+        # flips a count; the stacked form must predict each plane as alone
+        data = load_swiss()
+        coefs = fit_grid(data, TauGrid.from_count(19), "rq").coefficients
+        per_plane = [int((data.y < data.predict(b)).sum()) for b in coefs]
+        assert count_below(data, coefs).tolist() == per_plane
+
+    def test_wrong_stack_shape_rejected(self):
+        d = Dataset(X=np.ones((3, 1)), y=[1.0, 2.0, 3.0])
+        for bad in (np.zeros((2, 2)), np.zeros((2, 1, 1)), [1.0, 2.0]):
+            with pytest.raises(DataError, match="planes have shape"):
+                count_below(d, bad)
 
 
 class TestCountCurve:

@@ -10,6 +10,7 @@ from smoothrq import (
     SynthConfig,
     TauGrid,
     check_classic,
+    classic_total,
     fit_grid,
     fit_rq_lp,
     fit_rrq,
@@ -37,10 +38,6 @@ def intercept_only(values):
 def line_dataset(x, y):
     return Dataset.from_predictors(np.asarray(x, float)[:, None],
                                    np.asarray(y, float), ["x"], "y")
-
-
-def classic_total(data, beta, tau):
-    return float(np.sum(check_classic(data.residuals(beta), tau)))
 
 
 class TestTauGrid:
@@ -208,19 +205,31 @@ class TestFitRrq:
         assert np.array_equal(model.plane(1), lp.beta)
 
     def test_direction_steps_nondecreasing_and_optimal(self):
-        """c_tau grows with tau and beats a dense direct search over c."""
-        cfg = SynthConfig(n=30, seed=7, kind=KIND_HETERO_NORMAL)
-        data = gen_hetero_normal(cfg)
-        model = fit_rrq(data, TauGrid.from_step(0.0, 1.0, 0.1))
-        assert (np.diff(model.c) >= -1e-12).all()
-        r = data.residuals(model.beta_med)
-        s = data.X @ model.gamma
-        bound = 10.0 * float(np.abs(r).max()) / max(float(np.abs(s).max()), 1e-12)
-        grid = np.linspace(-bound, bound, 20001)
-        for k, tau in enumerate(model.taus):
-            mine = float(np.sum(check_classic(r - model.c[k] * s, tau)))
-            direct = min(float(np.sum(check_classic(r - cc * s, tau))) for cc in grid)
-            assert mine <= direct + 1e-9 * (1.0 + abs(direct))
+        """c_tau grows with tau, is an exact kink, and beats a dense search over c.
+
+        One anscombe row has a fitted scale of exactly 0; it adds a constant
+        in c, so every step must still be 0 or a kink r_i / s_i of the others.
+        """
+        cases = [
+            (gen_hetero_normal(SynthConfig(n=30, seed=7, kind=KIND_HETERO_NORMAL)),
+             TauGrid.from_step(0.0, 1.0, 0.1), False),
+            (load_anscombe(), TauGrid.from_count(99), True),
+        ]
+        for data, taus, has_zero_scale in cases:
+            model = fit_rrq(data, taus)
+            assert (np.diff(model.c) >= -1e-12).all()
+            r = data.residuals(model.beta_med)
+            s = data.X @ model.gamma
+            moving = s != 0
+            assert bool((~moving).any()) is has_zero_scale
+            kinks = set((r[moving] / s[moving]).tolist()) | {0.0}
+            assert all(c in kinks for c in model.c.tolist())
+            bound = 10.0 * float(np.abs(r).max()) / max(float(np.abs(s).max()), 1e-12)
+            steps = np.linspace(-bound, bound, 20001)[:, None]
+            for k, tau in enumerate(model.taus):
+                mine = float(np.sum(check_classic(r - model.c[k] * s, tau)))
+                direct = float(check_classic(r - steps * s, tau).sum(axis=1).min())
+                assert mine <= direct + 1e-9 * (1.0 + abs(direct))
 
     def test_negative_scale_flagged(self):
         # spread decreasing in the regressor drives the scale line negative

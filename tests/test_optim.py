@@ -1,4 +1,4 @@
-"""Solver behavior: quasi-Newton descent, golden-section, dense simplex."""
+"""Solver behavior: quasi-Newton descent, dense simplex."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from smoothrq import (
     QNConfig,
     SolverError,
     minimize_qn,
-    minimize_scalar_convex,
     solve_lp_simplex,
 )
 from smoothrq.optim import CONVERGED, DEGENERATE_MULTIPLE, INFEASIBLE, UNBOUNDED
@@ -90,47 +89,6 @@ class TestMinimizeQN:
             QNConfig(armijo_c=1.0)
         with pytest.raises(ValueError):
             QNConfig(backtrack=0.0)
-
-
-class TestMinimizeScalarConvex:
-    def test_absolute_value(self):
-        assert minimize_scalar_convex(lambda c: abs(c - 1.0), (-10, 10)) \
-            == pytest.approx(1.0, abs=1e-8)
-
-    def test_median_residual(self):
-        r = np.array([-1.0, 0.0, 1.0])
-
-        def f(c):
-            u = r - c
-            return float(np.sum(np.where(u >= 0, 0.5 * u, -0.5 * u)))
-
-        assert minimize_scalar_convex(f, (-10, 10)) == pytest.approx(0.0, abs=1e-8)
-
-    def test_shifted_quadratic(self):
-        assert minimize_scalar_convex(lambda c: (c + 4.0) ** 2, (-10, 10)) \
-            == pytest.approx(-4.0, abs=1e-8)
-
-    def test_flat_minimum_returns_zero_exactly(self):
-        # any c in [-1, 1] is optimal; the tie-break must pick 0 itself
-        r = np.array([-1.0, 1.0])
-
-        def f(c):
-            u = r - c
-            return float(np.sum(np.where(u >= 0, 0.5 * u, -0.5 * u)))
-
-        assert minimize_scalar_convex(f, (-8, 8)) == 0.0
-
-    def test_flat_minimum_off_zero(self):
-        # flat stretch [2, 4]; zero is not optimal so the result lies inside
-        def f(c):
-            return max(2.0 - c, 0.0) + max(c - 4.0, 0.0)
-
-        out = minimize_scalar_convex(f, (-10, 10))
-        assert 2.0 - 1e-6 <= out <= 4.0 + 1e-6
-
-    def test_rejects_nonfinite_bracket(self):
-        with pytest.raises(ValueError):
-            minimize_scalar_convex(lambda c: c * c, (0.0, np.inf))
 
 
 class TestSimplex:

@@ -62,7 +62,6 @@ from .losses import (
 )
 from .optim import (
     LPProblem,
-    QNConfig,
     SolveReport,
     SolverError,
     minimize_qn,
@@ -82,7 +81,7 @@ __all__ = [
     "check_smooth_deriv", "classic_total", "grad_total", "loss_and_grad", "loss_total",
     "smoothing_gap",
     # optimizers
-    "LPProblem", "QNConfig", "SolveReport", "SolverError", "minimize_qn",
+    "LPProblem", "SolveReport", "SolverError", "minimize_qn",
     "solve_lp_simplex",
     # estimators
     "QuantileFit", "RRQModel", "TauGrid", "fit_grid", "fit_rq_lp", "fit_rrq",

@@ -354,14 +354,15 @@ def cmd_grid(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 # bench
 
 def run_bench(kind: str, sizes: list[int], replicates: int, seed: int,
-              methods: list[str], grid: TauGrid | None = None) -> dict:
+              methods: list[str]) -> dict:
     """Median spike/pulse counts per (size, method) over seeded replicates.
 
     Replicate (i, j) draws its dataset with seed = base + 100000*i + j, so
     cells are independent of method order and reproducible in isolation.
-    Returns {(n, method): (median_spikes, median_pulses)}.
+    Every fit runs on the 99-level grid.  Returns
+    {(n, method): (median_spikes, median_pulses)}.
     """
-    grid = grid if grid is not None else TauGrid.from_count(99)
+    grid = TauGrid.from_count(99)
     generate = gen_hetero_normal if kind == KIND_HETERO_NORMAL else gen_pareto
     table: dict[tuple[int, str], tuple[float, float]] = {}
     for i, n in enumerate(sizes):

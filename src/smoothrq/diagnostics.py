@@ -51,6 +51,8 @@ NEGATIVE = "negative"
 
 # event windows need a neighbor on each side of an interior index
 MIN_EVENT_LEVELS = 3
+# repair passes suppress_events makes before it reports non-convergence
+_SUPPRESS_PASSES = 3
 
 
 class Spike(NamedTuple):
@@ -89,10 +91,6 @@ class CountCurve:
             raise ValueError(f"{self.taus.size} taus vs {self.counts.size} counts")
         if self.counts.size and (self.counts.min() < 0 or self.counts.max() > self.n):
             raise ValueError(f"counts must lie in [0, {self.n}]")
-
-    def ideal_endpoints(self):
-        """The straight reference line from (tau_min, 0) to (tau_max, n)."""
-        return (float(self.taus[0]), 0.0), (float(self.taus[-1]), float(self.n))
 
 
 @dataclass
@@ -306,22 +304,21 @@ def _suppress_pulse(data, betas, counts, j):
         _replace_with_best_candidate(data, betas, counts, other)
 
 
-def suppress_events(grid_result: GridResult, report: EventReport,
-                    max_passes: int = 3) -> GridResult:
+def suppress_events(grid_result: GridResult, report: EventReport) -> GridResult:
     """Repair spikes and pulses by neighbor substitution; leave wide events alone.
 
     Each pass walks the report's spikes and pulses in grid order, replaces the
     offending planes, recomputes all counts from the data, and re-classifies.
-    Repair stops after max_passes; suppression_converged records whether the
-    final curve is free of spikes and pulses.  An event-free report returns
-    the grid unchanged.
+    Repair stops after three passes; suppression_converged records whether
+    the final curve is free of spikes and pulses.  An event-free report
+    returns the grid unchanged.
     """
     data = grid_result.dataset
     betas = grid_result.coefficients.copy()
     counts = count_below(data, betas)
     current = report
     passes = 0
-    while (current.spike_count or current.pulse_count) and passes < max_passes:
+    while (current.spike_count or current.pulse_count) and passes < _SUPPRESS_PASSES:
         passes += 1
         narrow = [("spike", s.index) for s in current.spikes]
         narrow += [("pulse", p.start) for p in current.pulses]

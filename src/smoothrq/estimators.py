@@ -30,7 +30,6 @@ from .optim import (
     CONVERGED,
     DEGENERATE_MULTIPLE,
     LPProblem,
-    QNConfig,
     SolveReport,
     SolverError,
     minimize_qn,
@@ -55,6 +54,12 @@ FIT_GRAD_RTOL = 1e-6
 
 METHODS = ("rq", "srq", "smrq", "rrq", "flex")
 SMOOTH_PRESETS = {"srq": SRQ, "smrq": SMRQ}
+
+# fit_rq_lp refuses an LP whose dense simplex tableau, n x (2n + 2p + 1)
+# doubles, would exceed this many MiB: n=2000 at p=10 takes 61 MiB, n=5000
+# would take 381 MiB, and a fit holds the constraint matrix and an n x n
+# identity next to the tableau
+_MAX_TABLEAU_MB = 128
 
 
 @dataclass
@@ -163,7 +168,7 @@ def _method_tag(params: FlexCheckParams) -> str:
 
 
 def fit_smooth(data: Dataset, tau: float, params: FlexCheckParams = SRQ,
-               init=None, config: QNConfig | None = None) -> QuantileFit:
+               init=None) -> QuantileFit:
     """Minimize the smooth check loss at one level.
 
     Starts from the zero vector unless init is given.  The result must pass
@@ -173,8 +178,7 @@ def fit_smooth(data: Dataset, tau: float, params: FlexCheckParams = SRQ,
     x0 = np.zeros(data.n_coef) if init is None else np.asarray(init, dtype=float)
     if x0.shape != (data.n_coef,):
         raise ValueError(f"init has shape {x0.shape}, expected ({data.n_coef},)")
-    report = minimize_qn(lambda b: loss_and_grad(data, b, tau, params),
-                         x0, config or QNConfig())
+    report = minimize_qn(lambda b: loss_and_grad(data, b, tau, params), x0)
     tol = FIT_GRAD_RTOL * max(1.0, float(np.abs(report.x).max()))
     if report.status != CONVERGED:
         if report.grad_norm > tol:
@@ -254,11 +258,19 @@ def fit_rq_lp(data: Dataset, tau: float) -> QuantileFit:
     non-basic at zero reduced cost.  A zero reduced cost on the mirror of a
     basic coefficient column is ignored; entering it only shifts b+ and b-
     together and leaves their difference unchanged.
+
+    An LP whose dense tableau would exceed 128 MiB (n above about 2890 rows)
+    raises SolverError before anything is allocated.
     """
     if not 0.0 < float(tau) < 1.0:
         raise ValueError(f"tau must lie strictly inside (0, 1), got {tau}")
     tau = float(tau)
     n, p = data.X.shape
+    tableau_mb = n * (2 * n + 2 * p + 1) * 8 / 2 ** 20
+    if tableau_mb > _MAX_TABLEAU_MB:
+        raise SolverError(
+            f"quantile LP with n={n}, p={p} needs a {tableau_mb:.0f} MiB simplex "
+            f"tableau; the dense simplex is limited to {_MAX_TABLEAU_MB} MiB")
     eye = np.eye(n)
     problem = LPProblem(
         c=np.concatenate([np.zeros(2 * p), np.full(n, tau), np.full(n, 1.0 - tau)]),
@@ -284,7 +296,6 @@ def fit_rq_lp(data: Dataset, tau: float) -> QuantileFit:
         iterations=lp.iterations,
         status=status,
         zero_rc_columns=lp.zero_rc_columns,
-        basis=lp.basis,
     )
     return QuantileFit(tau=tau, beta=beta, method="rq", report=report)
 
@@ -349,15 +360,13 @@ def fit_rrq(data: Dataset, tau_grid) -> RRQModel:
 
 
 def fit_grid(data: Dataset, tau_grid, method: str,
-             params: FlexCheckParams | None = None,
-             warm_start: bool = False) -> GridResult:
+             params: FlexCheckParams | None = None) -> GridResult:
     """Fit one method across a tau grid and attach the count curve.
 
-    Grid entries are fitted in increasing tau order.  warm_start seeds each
-    smooth fit with the previous level's coefficients (LP and RRQ fits ignore
-    it).  A level whose solver fails is recorded in statuses and left as a
-    NaN coefficient row; the remaining levels still run.  The count curve is
-    attached only when every level produced coefficients.
+    Grid entries are fitted in increasing tau order, each smooth level from
+    the zero vector.  A level whose solver fails is recorded in statuses and
+    left as a NaN coefficient row; the remaining levels still run.  The count
+    curve is attached only when every level produced coefficients.
     """
     grid = TauGrid.coerce(tau_grid)
     if method not in METHODS:
@@ -381,17 +390,14 @@ def fit_grid(data: Dataset, tau_grid, method: str,
                 raise ValueError("method 'flex' needs explicit FlexCheckParams")
         else:
             params = SMOOTH_PRESETS[method]
-        prev = None
         for k, tau in enumerate(grid):
-            init = prev if warm_start else None
             try:
-                fit = fit_smooth(data, tau, params=params, init=init)
+                fit = fit_smooth(data, tau, params=params)
             except SolverError as exc:
                 statuses.append(f"failed: {exc}")
                 continue
             coefs[k] = fit.beta
             statuses.append(fit.report.status)
-            prev = fit.beta
 
     result = GridResult(taus=grid.values.copy(), coefficients=coefs,
                         dataset=data, method=method, statuses=statuses)

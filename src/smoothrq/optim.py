@@ -1,32 +1,33 @@
-"""Deterministic solvers: quasi-Newton descent and dense simplex.
+"""Deterministic solvers: quasi-Newton descent and a slack-basis simplex.
 
-Nothing in this module knows about quantiles.  It provides two generic
-primitives with reproducible behavior:
+Nothing in this module knows about quantiles.  It provides two primitives
+with reproducible behavior:
 
 * minimize_qn: BFGS-style minimizer for smooth convex objectives, with an
   Armijo backtracking line search and a curvature guard on the inverse-Hessian
   update.  Identical inputs produce bit-identical outputs.
-* solve_lp_simplex: two-phase primal simplex on a dense tableau using Bland's
+* solve_lp_simplex: primal simplex on a dense tableau using Bland's
   anti-cycling rule, reporting optimum multiplicity when a non-basic column
-  has zero reduced cost.
+  has zero reduced cost.  It starts from a slack basis and has no phase 1:
+  once each row is scaled so its right-hand side is nonnegative, every row
+  must own a unit column (one nonzero entry, equal to 1), as the quantile LP
+  [X, -X, I, -I] always does.  A problem without one raises ValueError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dger
 
 __all__ = [
     "SolverError",
-    "QNConfig",
     "LPProblem",
     "SolveReport",
     "CONVERGED",
     "ITERATION_CAP",
     "UNBOUNDED",
-    "INFEASIBLE",
     "DEGENERATE_MULTIPLE",
     "minimize_qn",
     "solve_lp_simplex",
@@ -35,9 +36,15 @@ __all__ = [
 CONVERGED = "converged"
 ITERATION_CAP = "iteration-cap"
 UNBOUNDED = "unbounded"
-INFEASIBLE = "infeasible"
 DEGENERATE_MULTIPLE = "degenerate-multiple"
 
+# minimize_qn converges when ||grad||_inf <= _GRAD_TOL * max(1, ||x||_inf)
+_GRAD_TOL = 1e-8
+# minimize_qn stops with ITERATION_CAP after this many iterations
+_QN_MAX_ITER = 500
+# Armijo sufficient-decrease constant and backtracking factor of the line search
+_ARMIJO_C = 1e-4
+_BACKTRACK = 0.5
 # curvature threshold below which the BFGS update is skipped
 _CURVATURE_FLOOR = 1e-12
 # smallest Armijo step before the line search is declared stalled
@@ -58,31 +65,13 @@ class SolverError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class QNConfig:
-    """Quasi-Newton settings.
-
-    Convergence is declared when ||grad||_inf <= grad_tol * max(1, ||x||_inf).
-    """
-
-    grad_tol: float = 1e-8
-    max_iter: int = 500
-    armijo_c: float = 1e-4
-    backtrack: float = 0.5
-
-    def __post_init__(self):
-        if not self.grad_tol > 0:
-            raise ValueError(f"grad_tol must be positive, got {self.grad_tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-        if not 0.0 < self.armijo_c < 1.0:
-            raise ValueError(f"armijo_c must lie in (0, 1), got {self.armijo_c}")
-        if not 0.0 < self.backtrack < 1.0:
-            raise ValueError(f"backtrack must lie in (0, 1), got {self.backtrack}")
-
-
-@dataclass(frozen=True)
 class LPProblem:
-    """Equality-form linear program: minimize c @ x subject to A x = b, x >= 0."""
+    """Equality-form linear program: minimize c @ x subject to A x = b, x >= 0.
+
+    solve_lp_simplex needs a slack basis: after rows with b < 0 are negated,
+    every row must have a unit column, one with a single nonzero entry of 1
+    in that row.
+    """
 
     c: np.ndarray
     A: np.ndarray
@@ -106,10 +95,11 @@ class LPProblem:
 class SolveReport:
     """Outcome of a solver run.
 
-    x is None when no solution vector exists (infeasible/unbounded LPs).
-    grad_norm is filled by minimize_qn; zero_rc_columns and basis by the LP
-    solver (indices of non-basic columns with zero reduced cost at optimum,
-    and the final basis).
+    x is None when the LP solver ends without an optimum: the objective is
+    unbounded or the pivot cap was reached.  Infeasibility is never reported,
+    because the slack basis the LP solver requires is already feasible.
+    grad_norm is filled by minimize_qn; zero_rc_columns by the LP solver
+    (indices of non-basic columns with zero reduced cost at the optimum).
     """
 
     x: np.ndarray | None
@@ -119,10 +109,9 @@ class SolveReport:
     message: str = ""
     grad_norm: float | None = None
     zero_rc_columns: tuple[int, ...] = ()
-    basis: tuple[int, ...] = ()
 
 
-def minimize_qn(fun_and_grad, x0, config: QNConfig | None = None) -> SolveReport:
+def minimize_qn(fun_and_grad, x0) -> SolveReport:
     """Minimize a smooth function given a callable returning (value, gradient).
 
     BFGS inverse-Hessian updates with the usual guards: the update is skipped
@@ -135,9 +124,10 @@ def minimize_qn(fun_and_grad, x0, config: QNConfig | None = None) -> SolveReport
     when the unit step decreased the objective exactly linearly (see the
     inline comments).  A non-finite objective at the current iterate aborts
     with SolverError; non-finite trial points are simply rejected by the
-    line search.  Everything is deterministic.
+    line search.  Convergence is declared when
+    ||grad||_inf <= 1e-8 * max(1, ||x||_inf), within 500 iterations.
+    Everything is deterministic.
     """
-    cfg = config or QNConfig()
     x = np.array(x0, dtype=float).ravel()
     f, g = fun_and_grad(x)
     f = float(f)
@@ -153,12 +143,12 @@ def minimize_qn(fun_and_grad, x0, config: QNConfig | None = None) -> SolveReport
     it = 0
     stalled = 0
     best_gnorm = float(np.abs(g).max()) if p else 0.0
-    for it in range(cfg.max_iter + 1):
+    for it in range(_QN_MAX_ITER + 1):
         gnorm = float(np.abs(g).max()) if p else 0.0
-        if gnorm <= cfg.grad_tol * max(1.0, float(np.abs(x).max()) if p else 0.0):
+        if gnorm <= _GRAD_TOL * max(1.0, float(np.abs(x).max()) if p else 0.0):
             status = CONVERGED
             break
-        if it == cfg.max_iter:
+        if it == _QN_MAX_ITER:
             break
         d = -(H @ g)
         gd = float(g @ d)
@@ -176,10 +166,10 @@ def minimize_qn(fun_and_grad, x0, config: QNConfig | None = None) -> SolveReport
             x_new = x + alpha * d
             f_new, g_new = fun_and_grad(x_new)
             f_new = float(f_new)
-            if f_new <= f + cfg.armijo_c * alpha * gd + noise:
+            if f_new <= f + _ARMIJO_C * alpha * gd + noise:
                 accepted = True
                 break
-            alpha *= cfg.backtrack
+            alpha *= _BACKTRACK
         if not accepted:
             if not np.isfinite(f_new):
                 raise SolverError(
@@ -197,11 +187,11 @@ def minimize_qn(fun_and_grad, x0, config: QNConfig | None = None) -> SolveReport
         # decided by the Armijo condition alone.
         if alpha == 1.0 and abs(f_new - (f + gd)) <= 1e-9 * (1.0 + abs(f)):
             while alpha < 1e12:
-                alpha_try = alpha / cfg.backtrack
+                alpha_try = alpha / _BACKTRACK
                 x_try = x + alpha_try * d
                 f_try, g_try = fun_and_grad(x_try)
                 f_try = float(f_try)
-                if not np.isfinite(f_try) or f_try > f + cfg.armijo_c * alpha_try * gd:
+                if not np.isfinite(f_try) or f_try > f + _ARMIJO_C * alpha_try * gd:
                     break
                 alpha, x_new, f_new, g_new = alpha_try, x_try, f_try, g_try
 
@@ -253,28 +243,54 @@ def minimize_qn(fun_and_grad, x0, config: QNConfig | None = None) -> SolveReport
                        grad_norm=float(np.abs(g).max()) if p else 0.0)
 
 
-def _pivot_until_optimal(T, z, basis, allowed, cost_scale, cap, it):
-    """Run Bland-rule pivots in place until optimality, unboundedness, or cap.
+def solve_lp_simplex(problem: LPProblem) -> SolveReport:
+    """Solve an equality-form LP by the primal simplex method with Bland's rule.
 
-    T is the (m, k+1) tableau with the rhs in the last column, z the reduced
-    cost row over the k structural columns, basis the basic column index per
-    row, allowed a mask of columns permitted to enter.
+    Rows with a negative right-hand side are negated first.  The lowest-index
+    unit column of each row then enters the starting basis, which is feasible
+    because the right-hand side is nonnegative; a row without a unit column
+    raises ValueError before any pivot.  Pivoting stops after
+    200 + 50 * (rows + columns) pivots with status "iteration-cap".  At the
+    optimum, any non-basic column with zero reduced cost marks alternative
+    optima and flips the status to "degenerate-multiple"; the indices are
+    reported in zero_rc_columns.
     """
-    m = T.shape[0]
-    assert T.flags.f_contiguous  # dger updates in place only on Fortran order
+    c = problem.c
+    m, n = problem.A.shape
+    # the tableau carries the rhs in its last column; Fortran order, because
+    # dger updates in place only on Fortran order
+    T = np.empty((m, n + 1), order="F")
+    T[:, :n] = problem.A
+    T[:, n] = problem.b
+    T[problem.b < 0] *= -1.0
+    cost_scale = max(1.0, float(np.abs(c).max()) if n else 1.0)
+
+    basis = np.full(m, -1, dtype=int)
+    for j in range(n):
+        col = T[:, j]
+        nz = np.nonzero(col)[0]
+        if nz.size == 1 and col[nz[0]] == 1.0 and basis[nz[0]] < 0:
+            basis[nz[0]] = j
+    missing = np.nonzero(basis < 0)[0]
+    if missing.size:
+        raise ValueError(f"row {int(missing[0])} has no unit column; "
+                         "solve_lp_simplex needs a slack basis")
+
+    z = c - c[basis] @ T[:, :-1]  # reduced costs of the structural columns
     enter_tol = 1e-9 * cost_scale
     fac = np.empty(m)
-    row = np.empty(T.shape[1])
+    row = np.empty(n + 1)
     ratios = np.empty(m)
-    while it < cap:
-        eligible = np.nonzero((z < -enter_tol) & allowed)[0]
+    it = 0
+    while it < 200 + 50 * (m + n):
+        eligible = np.nonzero(z < -enter_tol)[0]
         if eligible.size == 0:
-            return it, "optimal"
+            break
         q = int(eligible[0])  # Bland: lowest eligible index enters
         col = T[:, q]
         pos = col > 1e-10
         if not pos.any():
-            return it, UNBOUNDED
+            return SolveReport(None, None, it, UNBOUNDED, "objective decreases without bound")
         ratios.fill(np.inf)
         ratios[pos] = T[pos, -1] / col[pos]
         rmin = ratios.min()
@@ -292,84 +308,7 @@ def _pivot_until_optimal(T, z, basis, allowed, cost_scale, cap, it):
         rhs = T[:, -1]
         rhs[(rhs < 0.0) & (rhs > -1e-9)] = 0.0
         it += 1
-    return it, ITERATION_CAP
-
-
-def solve_lp_simplex(problem: LPProblem, max_iter: int | None = None) -> SolveReport:
-    """Solve an equality-form LP by the primal simplex method with Bland's rule.
-
-    Phase 1 introduces artificial variables only for rows lacking a unit
-    column, so problems that ship their own slack-like structure start
-    feasible immediately.  At the optimum, any non-basic column with zero
-    reduced cost marks alternative optima and flips the status to
-    "degenerate-multiple"; the indices are reported in zero_rc_columns.
-    """
-    A = problem.A.copy()
-    b = problem.b.copy()
-    c = problem.c
-    m, n = A.shape
-    neg = b < 0
-    A[neg] *= -1.0
-    b[neg] *= -1.0
-    cost_scale = max(1.0, float(np.abs(c).max()) if n else 1.0)
-    cap = max_iter if max_iter is not None else 200 + 50 * (m + n)
-
-    # claim unit columns for the starting basis where available
-    basis = np.full(m, -1, dtype=int)
-    for j in range(n):
-        col = A[:, j]
-        nz = np.nonzero(col)[0]
-        if nz.size == 1 and col[nz[0]] == 1.0 and basis[nz[0]] < 0:
-            basis[nz[0]] = j
-    missing = np.nonzero(basis < 0)[0]
-    it = 0
-
-    if missing.size:
-        n_art = missing.size
-        T = np.asfortranarray(np.hstack([A, np.zeros((m, n_art)), b[:, None]]))
-        for k, i in enumerate(missing):
-            T[i, n + k] = 1.0
-            basis[i] = n + k
-        c1 = np.concatenate([np.zeros(n), np.ones(n_art)])
-        z1 = c1 - c1[basis] @ T[:, :-1]
-        allowed = np.ones(n + n_art, dtype=bool)
-        allowed[n:] = False  # artificials may leave but never re-enter
-        it, outcome = _pivot_until_optimal(T, z1, basis, allowed, 1.0, cap, it)
-        if outcome == ITERATION_CAP:
-            return SolveReport(None, None, it, ITERATION_CAP, "phase 1 hit the pivot cap")
-        phase1 = float(np.sum(T[basis >= n, -1]))
-        if phase1 > 1e-8 * (1.0 + float(np.abs(b).sum())):
-            return SolveReport(None, None, it, INFEASIBLE,
-                               f"phase 1 optimum {phase1:.3e} > 0")
-        # pivot surviving artificials out; a row they cannot leave is redundant
-        drop_rows = []
-        for i in range(m):
-            if basis[i] >= n:
-                row = T[i, :n]
-                cand = np.nonzero(np.abs(row) > 1e-9)[0]
-                if cand.size == 0:
-                    drop_rows.append(i)
-                    continue
-                q = int(cand[0])
-                T[i] /= T[i, q]
-                fac = T[:, q].copy()
-                fac[i] = 0.0
-                T -= np.multiply.outer(fac, T[i])
-                basis[i] = q
-        if drop_rows:
-            keep = np.setdiff1d(np.arange(T.shape[0]), drop_rows)
-            T = T[keep]
-            basis = basis[keep]
-        T = np.asfortranarray(np.hstack([T[:, :n], T[:, -1:]]))
     else:
-        T = np.asfortranarray(np.hstack([A, b[:, None]]))
-
-    z = c - c[basis] @ T[:, :-1]
-    allowed = np.ones(n, dtype=bool)
-    it, outcome = _pivot_until_optimal(T, z, basis, allowed, cost_scale, cap, it)
-    if outcome == UNBOUNDED:
-        return SolveReport(None, None, it, UNBOUNDED, "objective decreases without bound")
-    if outcome == ITERATION_CAP:
         return SolveReport(None, None, it, ITERATION_CAP, "pivot cap reached")
 
     x = np.zeros(n)
@@ -380,4 +319,4 @@ def solve_lp_simplex(problem: LPProblem, max_iter: int | None = None) -> SolveRe
     zero_rc = tuple(int(j) for j in nonbasic if abs(z_final[j]) <= 1e-9 * cost_scale)
     status = DEGENERATE_MULTIPLE if zero_rc else CONVERGED
     return SolveReport(x=x, fun=objective, iterations=it, status=status,
-                       zero_rc_columns=zero_rc, basis=tuple(int(j) for j in basis))
+                       zero_rc_columns=zero_rc)

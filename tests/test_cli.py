@@ -145,6 +145,14 @@ class TestFit:
                               "--method", "srq", "--warm-start"], capsys)
         assert self._coefs(cold) == pytest.approx(self._coefs(warm), abs=1e-6)
 
+    def test_oversized_rq_exits_4(self, tmp_path, capsys):
+        # 3000 rows need a 137 MiB simplex tableau, above the 128 MiB limit
+        path = write_line_csv(tmp_path / "d.csv", n=3000)
+        code, _, err = run_cli(["fit", "--data", path, "--response", "y",
+                                "--tau", "0.5", "--method", "rq"], capsys)
+        assert code == 4
+        assert "n=3000, p=2" in err and "limited to 128 MiB" in err
+
     def test_flex_fit_runs(self, tmp_path, capsys):
         path = write_line_csv(tmp_path / "d.csv")
         code, out, _ = run_cli(["fit", "--data", path, "--response", "y",
@@ -229,7 +237,7 @@ class TestGrid:
             assert "<circle" in overlay
 
     def test_failed_level_exits_4(self, tmp_path, capsys, monkeypatch):
-        def broken(data, tau_grid, method, params=None, warm_start=False):
+        def broken(data, tau_grid, method, params=None):
             grid = TauGrid.coerce(tau_grid)
             m = len(grid)
             return GridResult(taus=grid.values.copy(),
@@ -276,7 +284,7 @@ class TestBench:
         assert manifest["config"]["kind"] == "normal"
 
     def test_run_bench_propagates_failures(self, monkeypatch):
-        def broken(data, tau_grid, method, params=None, warm_start=False):
+        def broken(data, tau_grid, method, params=None):
             grid = TauGrid.coerce(tau_grid)
             m = len(grid)
             return GridResult(taus=grid.values.copy(),

@@ -92,12 +92,6 @@ class TestCountCurve:
         with pytest.raises(ValueError):
             CountCurve(taus=[0.1, 0.5, 0.9], counts=[0, 7, 1], n=5)
 
-    def test_ideal_endpoints(self):
-        c = curve_of([0, 1, 2], n=11)
-        (t0, v0), (t1, v1) = c.ideal_endpoints()
-        assert (t0, v0) == (0.1, 0.0)
-        assert (t1, v1) == (0.9, 11.0)
-
     def test_smooth_staircase_on_bundled_points(self):
         # 99-level family on the 11-point set: an uneven but monotone
         # staircase running from 0 to 11

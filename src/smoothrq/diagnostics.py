@@ -158,13 +158,17 @@ def count_below(data: Dataset, beta):
     beta is one plane, giving an int, or an (m, p) stack of planes, giving an
     array of m counts.  Each plane is predicted by its own matrix-vector
     product, so a stacked count equals the per-plane counts bit for bit even
-    when a plane passes within an ulp of a data point.
+    when a plane passes within an ulp of a data point.  A plane with a NaN
+    or infinite coefficient, such as a failed level's row, raises DataError.
     """
     beta = np.asarray(beta, dtype=float)
     betas = np.atleast_2d(beta)
     if betas.ndim != 2 or betas.shape[1] != data.n_coef:
         raise DataError(f"planes have shape {beta.shape}, expected ({data.n_coef},) "
                         f"or (m, {data.n_coef})")
+    finite = np.isfinite(betas).all(axis=1)
+    if not finite.all():
+        raise DataError(f"plane row {int(np.argmin(finite))} has a non-finite coefficient")
     counts = (data.y < (data.X @ betas[:, :, None])[:, :, 0]).sum(axis=1)
     return int(counts[0]) if beta.ndim < 2 else counts
 

@@ -300,21 +300,53 @@ def fit_rq_lp(data: Dataset, tau: float) -> QuantileFit:
     return QuantileFit(tau=tau, beta=beta, method="rq", report=report)
 
 
-def _direction_step_exact(r: np.ndarray, s: np.ndarray, tau: float) -> float:
-    """Minimize sum of pinball losses of r - c*s over c, all s nonzero.
+class _DirectionSteps:
+    """Minimizers over c of the sum of pinball losses of r - c*s, all s nonzero.
 
-    The objective is piecewise linear in c with breakpoints r_i / s_i, so the
-    minimum is attained at a breakpoint; 0 is probed as well.  When several
-    candidates tie (a flat valley), the point of smallest absolute value in
-    the flat interval is returned, which pins c to 0 whenever 0 is optimal.
+    The objective is convex and piecewise linear in c.  Its breakpoints
+    r_i / s_i do not depend on tau, so they are sorted once, with 0 as an
+    extra candidate.  Far left the slope is -(tau*P + (1-tau)*N), where P sums
+    the positive s and N the magnitudes of the negative s.  It rises by |s_i|
+    at breakpoint r_i / s_i, so a search in the cumulative weights finds the
+    candidate where it changes sign, in O(log n) per level.
     """
-    cands = np.unique(np.concatenate([r / s, [0.0]]))
-    u = r[None, :] - cands[:, None] * s[None, :]
-    g = _pinball(u, tau).sum(axis=1)
-    gmin = float(g.min())
-    flat = cands[g <= gmin + 1e-10 * (1.0 + abs(gmin))]
-    lo, hi = float(flat[0]), float(flat[-1])
-    return min(max(0.0, lo), hi)
+
+    def __init__(self, r: np.ndarray, s: np.ndarray):
+        self.r, self.s = r, s
+        self.cands, inverse = np.unique(np.concatenate([r / s, [0.0]]), return_inverse=True)
+        weights = np.bincount(inverse[:-1], weights=np.abs(s), minlength=self.cands.size)
+        self.cum = np.cumsum(weights)
+        self.pos = float(s[s > 0].sum())
+        self.neg = float(-s[s < 0].sum())
+
+    def _objective(self, j: int, tau: float) -> float:
+        return float(_pinball(self.r - self.cands[j] * self.s, tau).sum())
+
+    def __call__(self, tau: float) -> float:
+        """The minimizing candidate; on a flat valley, its point of least |c|.
+
+        The cumulative weights only locate the minimum.  From there the walk
+        evaluates the objective outward on both sides while it stays within
+        1e-10 * (1 + |min|) of the least value seen.  That tolerance decides
+        which candidates tie, so a valley that contains 0 pins c to 0.
+        """
+        def tol(g: float) -> float:
+            return g + 1e-10 * (1.0 + abs(g))
+
+        start = int(np.searchsorted(self.cum, tau * self.pos + (1.0 - tau) * self.neg))
+        start = min(start, self.cands.size - 1)
+        values = {start: self._objective(start, tau)}
+        for step in (-1, 1):
+            j = start + step
+            while 0 <= j < self.cands.size:
+                values[j] = self._objective(j, tau)
+                if values[j] > tol(min(values.values())):
+                    break
+                j += step
+        bound = tol(min(values.values()))
+        flat = [j for j, g in values.items() if g <= bound]
+        lo, hi = float(self.cands[min(flat)]), float(self.cands[max(flat)])
+        return min(max(0.0, lo), hi)
 
 
 def fit_rrq(data: Dataset, tau_grid) -> RRQModel:
@@ -323,9 +355,10 @@ def fit_rrq(data: Dataset, tau_grid) -> RRQModel:
     Step 1 fits the median by LP; step 2 median-regresses the absolute
     residuals on the same predictors to get gamma; step 3 picks each c as the
     exact piecewise-linear minimizer over the rows with nonzero fitted scale
-    (a row with zero scale adds a constant in c).  If all scales vanish the
-    family collapses to the median plane (c = 0 everywhere) and the
-    homoscedastic_degenerate flag is raised.
+    (a row with zero scale adds a constant in c), from breakpoints sorted
+    once for the whole grid.  If all scales vanish the family collapses to
+    the median plane (c = 0 everywhere) and the homoscedastic_degenerate
+    flag is raised.
     """
     grid = TauGrid.coerce(tau_grid)
     med = fit_rq_lp(data, 0.5)
@@ -338,14 +371,14 @@ def fit_rrq(data: Dataset, tau_grid) -> RRQModel:
     s = data.X @ gamma
 
     degenerate = float(np.abs(s).max()) <= 1e-12 * max(1.0, float(np.abs(r).max()))
-    moving = s != 0
-    r_moving, s_moving = r[moving], s[moving]
 
     c = np.zeros(len(grid))
-    for k, tau in enumerate(grid):
-        if degenerate or tau == 0.5:
-            continue  # c stays 0: collapsed family, or the median anchor itself
-        c[k] = _direction_step_exact(r_moving, s_moving, tau)
+    if not degenerate:
+        moving = s != 0
+        step = _DirectionSteps(r[moving], s[moving])
+        for k, tau in enumerate(grid):
+            if tau != 0.5:  # c stays 0 at the median anchor itself
+                c[k] = step(tau)
 
     return RRQModel(
         taus=grid.values.copy(),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import smoothrq.cli as cli
-from smoothrq import SolverError, __version__
+from smoothrq import SolverError, __version__, estimators
 from smoothrq.cli import entrypoint, run_bench
 from smoothrq.diagnostics import GridResult
 from smoothrq.estimators import TauGrid
@@ -258,6 +258,31 @@ class TestGrid:
         events = (out_dir / "events.tsv").read_text().splitlines()
         assert events[1].split("\t")[1:] == ["-", "-"]
         assert events[2].split("\t")[1:] == ["-", "-"]
+
+    def test_failed_level_skips_suppression(self, tmp_path, capsys, monkeypatch):
+        # one failed level leaves a NaN row and no curve (see
+        # test_failed_level_recorded); grid --suppress must then not hand
+        # that family to the diagnostics
+        real = estimators.fit_smooth
+
+        def flaky(data, tau, params=estimators.SRQ, init=None):
+            if tau == 0.5:
+                raise SolverError("synthetic failure for the error path")
+            return real(data, tau, params=params, init=init)
+
+        def no_suppression(result, report):
+            raise AssertionError("suppress_events called on a failed family")
+
+        monkeypatch.setattr(estimators, "fit_smooth", flaky)
+        monkeypatch.setattr(cli, "suppress_events", no_suppression)
+        out_dir = tmp_path / "partial"
+        code, _, err = run_cli(["grid", "--data", "anscombe", "--grid", "3",
+                                "--methods", "srq", "--suppress",
+                                "--out", str(out_dir)], capsys)
+        assert code == 4
+        assert "synthetic failure" in err
+        events = (out_dir / "events.tsv").read_text().splitlines()
+        assert events[1].split("\t")[1:] == ["-", "-"]
 
 
 class TestBench:

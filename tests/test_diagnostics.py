@@ -82,6 +82,15 @@ class TestCountBelow:
             with pytest.raises(DataError, match="planes have shape"):
                 count_below(d, bad)
 
+    def test_non_finite_plane_rejected(self):
+        # a failed level leaves a NaN row; it must not count as 0 below
+        d = Dataset.from_predictors([0.0, 1.0, 2.0], [1.0, 2.0, 4.0])
+        stack = np.array([[1.0, 0.0], [1.0, 0.5], [np.nan, 1.0], [np.inf, 0.0]])
+        with pytest.raises(DataError, match="plane row 2 has a non-finite coefficient"):
+            count_below(d, stack)
+        with pytest.raises(DataError, match="plane row 0 "):
+            count_below(d, [1.0, -np.inf])
+
 
 class TestCountCurve:
     def test_order_preserved(self):
@@ -303,6 +312,19 @@ class TestSuppression:
             if out.suppression_converged:
                 assert out.events.spike_count == 0
                 assert out.events.pulse_count == 0
+
+    def test_second_pass_never_adds_narrow_events(self):
+        rng = np.random.default_rng(3000)
+        for _ in range(300):
+            L = int(rng.integers(3, 30))
+            counts = rng.integers(0, int(rng.integers(1, 15)) + 1, size=L)
+            g = grid_for_counts(counts)
+            report = detect_events(g.curve)
+            first = suppress_events(g, report)
+            second = suppress_events(first, first.events)
+            narrow = second.events.spike_count + second.events.pulse_count
+            assert narrow <= first.events.spike_count + first.events.pulse_count
+            assert narrow <= report.spike_count + report.pulse_count
 
     def test_spike_only_reports_clear_or_flag(self):
         rng = np.random.default_rng(31)

@@ -24,6 +24,7 @@ from smoothrq import (
 )
 from smoothrq import estimators
 from smoothrq.datagen import KIND_HETERO_NORMAL, KIND_PARETO, gen_pareto
+from smoothrq.losses import _pinball
 from smoothrq.optim import CONVERGED, DEGENERATE_MULTIPLE
 
 # root of sum tanh(10 (y_i - b)) = 0 for y = [1, 2, 4], from a bisection
@@ -40,6 +41,12 @@ def intercept_only(values):
 def line_dataset(x, y):
     return Dataset.from_predictors(np.asarray(x, float)[:, None],
                                    np.asarray(y, float), ["x"], "y")
+
+
+def negative_scale_data():
+    # spread decreasing in the regressor drives the scale line negative
+    raw = gen_hetero_normal(SynthConfig(n=25, seed=9, kind=KIND_HETERO_NORMAL))
+    return line_dataset(10.0 - raw.X[:, 0], raw.y)
 
 
 class TestTauGrid:
@@ -274,10 +281,7 @@ class TestFitRrq:
                 assert mine <= direct + 1e-9 * (1.0 + abs(direct))
 
     def test_negative_scale_flagged(self):
-        # spread decreasing in the regressor drives the scale line negative
-        cfg = SynthConfig(n=25, seed=9, kind=KIND_HETERO_NORMAL)
-        raw = gen_hetero_normal(cfg)
-        data = line_dataset(10.0 - raw.X[:, 0], raw.y)
+        data = negative_scale_data()
         model = fit_rrq(data, TauGrid.from_count(5))
         s = data.X @ model.gamma
         assert bool((s < 0).any()) is True
@@ -288,6 +292,123 @@ class TestFitRrq:
         cfg = SynthConfig(n=20, seed=2, kind=KIND_HETERO_NORMAL)
         model = fit_rrq(gen_hetero_normal(cfg), TauGrid.from_count(7))
         assert model.planes().shape == (7, 2)
+
+
+def direction_step_reference(r, s, tau):
+    """The quadratic search the sorted-breakpoint step replaced.
+
+    Evaluates the objective at every breakpoint r_i / s_i and at 0, takes
+    the candidates within 1e-10 * (1 + |min|) of the least value as the flat
+    set, and returns its point of smallest absolute value.
+    """
+    cands = np.unique(np.concatenate([r / s, [0.0]]))
+    u = r[None, :] - cands[:, None] * s[None, :]
+    g = _pinball(u, tau).sum(axis=1)
+    gmin = float(g.min())
+    flat = cands[g <= gmin + 1e-10 * (1.0 + abs(gmin))]
+    lo, hi = float(flat[0]), float(flat[-1])
+    return min(max(0.0, lo), hi)
+
+
+class TestDirectionStep:
+    """The sorted-breakpoint step returns the quadratic search's c, bit for bit."""
+
+    def assert_matches_reference(self, r, s, taus):
+        step = estimators._DirectionSteps(r, s)
+        for tau in taus:
+            mine, ref = step(tau), direction_step_reference(r, s, tau)
+            assert mine == ref, (tau, mine, ref)
+
+    @pytest.mark.parametrize("data, grid", [
+        (load_anscombe(), TauGrid.from_count(99)),
+        (load_swiss(), TauGrid.from_count(99)),
+        (gen_hetero_normal(SynthConfig(n=30, seed=7, kind=KIND_HETERO_NORMAL)),
+         TauGrid.from_count(99)),
+        (gen_hetero_normal(SynthConfig(n=400, seed=11, kind=KIND_HETERO_NORMAL)),
+         TauGrid.from_count(99)),
+        (gen_hetero_normal(SynthConfig(n=1000, seed=11, kind=KIND_HETERO_NORMAL)),
+         TauGrid.from_count(99)),
+        (gen_pareto(SynthConfig(n=200, seed=13, kind=KIND_PARETO)), TauGrid.from_count(99)),
+        (negative_scale_data(), TauGrid.from_count(99)),
+    ], ids=["anscombe", "swiss", "hetero-n30", "hetero-n400", "hetero-n1000",
+            "pareto-n200", "mixed-sign-scales"])
+    def test_family_matches_reference(self, data, grid):
+        model = fit_rrq(data, grid)
+        assert not model.homoscedastic_degenerate
+        r = data.residuals(model.beta_med)
+        s = data.X @ model.gamma
+        moving = s != 0
+        for k, tau in enumerate(grid):
+            ref = 0.0 if tau == 0.5 else direction_step_reference(r[moving], s[moving], tau)
+            assert model.c[k] == ref, (tau, model.c[k], ref)
+            assert (classic_total(data, model.plane(k), tau)
+                    == classic_total(data, model.beta_med + ref * model.gamma, tau))
+
+    def test_duplicate_breakpoints(self):
+        r = np.array([1.0, 2.0, 3.0, 2.0, 4.0, -2.0, 5.0])
+        s = np.array([1.0, 2.0, 3.0, 1.0, 2.0, -1.0, 1.0])
+        self.assert_matches_reference(r, s, TauGrid.from_count(19))
+
+    def test_breakpoint_at_zero(self):
+        r = np.array([0.0, 1.0, -2.0, 3.0, 0.0])
+        s = np.array([1.0, 2.0, 1.0, 0.5, -2.0])
+        self.assert_matches_reference(r, s, TauGrid.from_count(19))
+
+    def test_flat_valley_containing_zero(self):
+        r, s = np.array([-1.0, 1.0]), np.array([1.0, 1.0])
+        assert estimators._DirectionSteps(r, s)(0.5) == 0.0
+        self.assert_matches_reference(r, s, TauGrid.from_count(9))
+
+    def test_target_on_a_cumulative_weight(self):
+        # tau * P = 1 is the first cumulative weight: the slope is exactly 0
+        # between the breakpoints 1 and 2, and the flat valley's point of
+        # least |c| is 1
+        r, s = np.array([1.0, 2.0, 3.0, 4.0]), np.ones(4)
+        assert estimators._DirectionSteps(r, s)(0.25) == 1.0
+        self.assert_matches_reference(r, s, [0.25, 0.5, 0.75])
+
+    def test_random_integer_ties(self):
+        rng = np.random.default_rng(404)
+        for _ in range(500):
+            n = int(rng.integers(1, 12))
+            r = rng.integers(-4, 5, size=n).astype(float)
+            s = rng.choice([-3.0, -2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 3.0], size=n)
+            taus = np.concatenate([rng.integers(1, 8, size=3) / 8.0, rng.random(2)])
+            self.assert_matches_reference(r, s, taus)
+
+    def test_search_lands_next_to_the_minimum(self, monkeypatch):
+        # the walk would still find the minimum from a wrong start, but at
+        # O(n) evaluations a level; a right start needs the minimum and one
+        # candidate on each side
+        real = estimators._DirectionSteps._objective
+        evals = []
+
+        def counted(self, j, tau):
+            evals.append(j)
+            return real(self, j, tau)
+
+        monkeypatch.setattr(estimators._DirectionSteps, "_objective", counted)
+        rng = np.random.default_rng(77)
+        r, s = rng.normal(size=2000), rng.normal(size=2000)
+        step = estimators._DirectionSteps(r, s)
+        for tau in TauGrid.from_count(49):
+            evals.clear()
+            step(tau)
+            assert len(evals) == 3, tau
+
+    def test_memory_stays_linear(self):
+        # the quadratic candidate matrix would take 3.2 GB at this size
+        rng = np.random.default_rng(20000)
+        r, s = rng.normal(size=20000), rng.normal(size=20000)
+        tracemalloc.start()
+        try:
+            step = estimators._DirectionSteps(r, s)
+            for tau in (0.05, 0.5, 0.95):
+                step(tau)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
 
 class TestFitGrid:

@@ -12,7 +12,6 @@ generators, and a command-line harness.
 """
 
 from .datagen import (
-    CsvSchema,
     DataError,
     Dataset,
     SynthConfig,
@@ -39,6 +38,7 @@ from .diagnostics import (
     suppress_events,
 )
 from .estimators import (
+    FAILED,
     QuantileFit,
     RRQModel,
     TauGrid,
@@ -73,7 +73,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # data
-    "CsvSchema", "DataError", "Dataset", "SynthConfig", "dataset_fingerprint",
+    "DataError", "Dataset", "SynthConfig", "dataset_fingerprint",
     "gen_hetero_normal", "gen_pareto", "load_anscombe", "load_csv",
     "load_swiss", "write_csv",
     # losses
@@ -84,7 +84,7 @@ __all__ = [
     "LPProblem", "SolveReport", "SolverError", "minimize_qn",
     "solve_lp_simplex",
     # estimators
-    "QuantileFit", "RRQModel", "TauGrid", "fit_grid", "fit_rq_lp", "fit_rrq",
+    "FAILED", "QuantileFit", "RRQModel", "TauGrid", "fit_grid", "fit_rq_lp", "fit_rrq",
     "fit_smooth",
     # diagnostics
     "CountCurve", "Crossing", "EventReport", "GridResult", "Pulse", "Spike",

@@ -2,7 +2,8 @@
 
 Three subcommands share one layout convention:
 
-* ``fit``   prints one fitted plane plus its objectives to standard output.
+* ``fit``   fits a one-level grid and prints its plane plus its objectives
+  to standard output.
 * ``grid``  fits several methods across a tau grid and writes counts.tsv,
   events.tsv, coefficients.tsv (and optionally curves.svg) to a directory.
 * ``bench`` generates seeded synthetic datasets over a size ladder and
@@ -32,7 +33,6 @@ import numpy as np
 
 from . import __version__
 from .datagen import (
-    CsvSchema,
     DataError,
     Dataset,
     KIND_HETERO_NORMAL,
@@ -49,19 +49,10 @@ from .diagnostics import (
     MIN_EVENT_LEVELS,
     CountCurve,
     GridResult,
-    count_below,
     detect_events,
     suppress_events,
 )
-from .estimators import (
-    METHODS,
-    SMOOTH_PRESETS,
-    TauGrid,
-    fit_grid,
-    fit_rq_lp,
-    fit_rrq,
-    fit_smooth,
-)
+from .estimators import FAILED, METHODS, SMOOTH_PRESETS, TauGrid, fit_grid
 from .losses import SRQ, FlexCheckParams, classic_total, loss_total
 from .optim import SolverError
 
@@ -178,7 +169,7 @@ def _load_dataset(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         return data
     if args.response is None:
         parser.error("--response is required for CSV input")
-    return load_csv(name, CsvSchema(response=args.response))
+    return load_csv(name, args.response)
 
 
 def _resolve_flex(args: argparse.Namespace, parser: argparse.ArgumentParser,
@@ -213,14 +204,6 @@ def _write_tsv(path: Path, header: list[str], rows: list[list[str]]) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def _qs_params(method: str, flex: FlexCheckParams | None) -> FlexCheckParams:
-    # the piecewise methods have no smoothing of their own; report Q_S under
-    # the default sharp smoothing so the smooth-vs-exact gap is visible
-    if method == "flex":
-        return flex
-    return SMOOTH_PRESETS.get(method, SRQ)
-
-
 # ---------------------------------------------------------------------------
 # fit
 
@@ -229,19 +212,15 @@ def cmd_fit(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     data = _load_dataset(args, parser)
     flex = _resolve_flex(args, parser, needed=args.method == "flex")
 
-    if args.method == "rq":
-        fit = fit_rq_lp(data, args.tau)
-        beta, status = fit.beta, fit.report.status
-    elif args.method == "rrq":
-        model = fit_rrq(data, [args.tau])
-        beta, status = model.plane(0), model.status
-    else:
-        params = flex if args.method == "flex" else SMOOTH_PRESETS[args.method]
-        init = fit_rq_lp(data, args.tau).beta if args.warm_start else None
-        fit = fit_smooth(data, args.tau, params=params, init=init)
-        beta, status = fit.beta, fit.report.status
+    result = fit_grid(data, [args.tau], args.method, params=flex)
+    status = result.statuses[0]
+    if status.startswith(FAILED):
+        raise SolverError(status.removeprefix(FAILED))
+    beta = result.coefficients[0]
 
-    qs = _qs_params(args.method, flex)
+    # the piecewise methods have no smoothing of their own; report Q_S under
+    # the default sharp smoothing so the smooth-vs-exact gap is visible
+    qs = flex or SMOOTH_PRESETS.get(args.method, SRQ)
     q_classic = classic_total(data, beta, args.tau)
     q_smooth = loss_total(data, beta, args.tau, qs)
 
@@ -251,7 +230,7 @@ def cmd_fit(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     print("coefficients:")
     for name, value in zip(data.column_names, beta):
         print(f"  {name:<{width}}  {_fmt(value)}")
-    print(f"below_count: {count_below(data, beta)} / {data.n_obs}")
+    print(f"below_count: {result.curve.counts[0]} / {data.n_obs}")
     print(f"objective_classic: {_fmt(q_classic)}")
     print(f"objective_smooth[c={_fmt(qs.c)},h={_fmt(qs.h)},s={_fmt(qs.s)},v={_fmt(qs.v)}]: "
           f"{_fmt(q_smooth)}")
@@ -333,7 +312,7 @@ def cmd_grid(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
                 _write_text(out / f"lines-{name}.svg", svg)
 
     failures = [f"{name}: {status}" for name in names
-                for status in columns[name].statuses if status.startswith("failed")]
+                for status in columns[name].statuses if status.startswith(FAILED)]
     manifest = _manifest(args, seeds=[], datasets=[dataset_fingerprint(data)],
                          started=started)
     _write_text(out / "manifest.json", manifest.to_json())
@@ -373,7 +352,7 @@ def run_bench(kind: str, sizes: list[int], replicates: int, seed: int,
             for m in methods:
                 result = fit_grid(data, grid, m)
                 if result.curve is None:
-                    bad = next(s for s in result.statuses if s.startswith("failed"))
+                    bad = next(s for s in result.statuses if s.startswith(FAILED))
                     raise SolverError(
                         f"bench fit failed (n={n}, seed={rep_seed}, method={m}): {bad}")
                 events = detect_events(result.curve)
@@ -533,8 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--tau", type=_tau_flag, required=True,
                      help="quantile level in (0, 1)")
     fit.add_argument("--method", choices=METHODS, required=True)
-    fit.add_argument("--warm-start", action="store_true",
-                     help="start the smooth solver from the exact LP solution")
     _add_flex_flags(fit)
     fit.set_defaults(func=cmd_fit)
 

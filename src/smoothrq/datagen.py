@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import Sequence
 
@@ -26,7 +26,6 @@ import numpy as np
 __all__ = [
     "DataError",
     "Dataset",
-    "CsvSchema",
     "SynthConfig",
     "KIND_HETERO_NORMAL",
     "KIND_PARETO",
@@ -46,6 +45,12 @@ INTERCEPT_NAME = "intercept"
 
 # smallest uniform draw accepted by the log/power transforms below
 _U_FLOOR = 2.0 ** -53
+
+# the fixed line and noise of both generators (see SynthConfig)
+_X_MAX = 10.0
+_BETA0, _BETA1 = 1.0, 2.0
+_SIGMA0, _SIGMA1 = 0.5, 0.3
+_PARETO_ALPHA = 2.5
 
 
 class DataError(ValueError):
@@ -128,29 +133,17 @@ class Dataset:
         return self.y - self.predict(beta)
 
 
-@dataclass(frozen=True)
-class CsvSchema:
-    """How to read a CSV file: which column is the response, expected header.
+def load_csv(path, response: str) -> Dataset:
+    """Read a comma-separated file with a header row into a Dataset.
 
-    ``columns=None`` accepts whatever header the file declares; otherwise the
-    file header must match exactly.
-    """
-
-    response: str
-    columns: tuple[str, ...] | None = None
-    delimiter: str = ","
-
-
-def load_csv(path, schema: CsvSchema) -> Dataset:
-    """Read a delimited text file into a Dataset.
-
-    Blank lines are skipped.  All cells must parse as floats; a cell that
-    does not is reported with its row and column.  Predictor order follows
-    the file; the intercept column is appended last.
+    response names the response column.  Blank lines are skipped.  All cells
+    must parse as floats; a cell that does not is reported with its row and
+    column.  Predictor order follows the file; the intercept column is
+    appended last.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh, delimiter=schema.delimiter))
+            rows = list(csv.reader(fh))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     rows = [(i, r) for i, r in enumerate(rows, start=1) if any(c.strip() for c in r)]
@@ -158,10 +151,8 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
         raise DataError(f"{path}: file is empty")
     _, header = rows[0]
     header = [h.strip() for h in header]
-    if schema.columns is not None and tuple(header) != tuple(schema.columns):
-        raise DataError(f"{path}: header {header} does not match schema {list(schema.columns)}")
-    if schema.response not in header:
-        raise DataError(f"{path}: response column {schema.response!r} not in header {header}")
+    if response not in header:
+        raise DataError(f"{path}: response column {response!r} not in header {header}")
     if len(rows) == 1:
         raise DataError(f"{path}: no data rows")
     values = np.empty((len(rows) - 1, len(header)))
@@ -176,11 +167,11 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
                     f"{path}: non-numeric value {cell.strip()!r} at line {line_no}, "
                     f"column {header[j]!r}"
                 ) from None
-    ri = header.index(schema.response)
+    ri = header.index(response)
     pred_idx = [j for j in range(len(header)) if j != ri]
     names = [header[j] for j in pred_idx]
     return Dataset.from_predictors(values[:, pred_idx], values[:, ri],
-                                   names=names, response_name=schema.response)
+                                   names=names, response_name=response)
 
 
 def _serialize_csv(dataset: Dataset) -> str:
@@ -211,38 +202,22 @@ def dataset_fingerprint(dataset: Dataset) -> dict:
 
 @dataclass(frozen=True)
 class SynthConfig:
-    """Parameters for the synthetic benchmark generators.
+    """Size, seed and noise family of one synthetic dataset.
 
-    kind selects the noise family: "hetero-normal" draws
-    y = beta0 + beta1*x + (sigma0 + sigma1*x)*z with z standard normal, and
-    "pareto" adds a one-sided Pareto error e = scale * U**(-1/alpha), e >= scale.
+    Both families share the line y = 1 + 2x with x uniform on [0, 10).
+    kind "hetero-normal" adds (0.5 + 0.3x)*z with z standard normal, and
+    "pareto" adds a one-sided Pareto error e = U**(-1/2.5), so e >= 1.
     """
 
     n: int
     seed: int
     kind: str = KIND_HETERO_NORMAL
-    x_range: tuple[float, float] = (0.0, 10.0)
-    beta0: float = 1.0
-    beta1: float = 2.0
-    sigma0: float = 0.5
-    sigma1: float = 0.3
-    pareto_alpha: float = 2.5
-    pareto_scale: float = 1.0
 
     def __post_init__(self):
         if self.n < 3:
             raise DataError(f"need at least 3 observations, got n={self.n}")
         if self.kind not in (KIND_HETERO_NORMAL, KIND_PARETO):
             raise DataError(f"unknown kind {self.kind!r}")
-        lo, hi = self.x_range
-        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-            raise DataError(f"bad x_range {self.x_range}")
-        if self.sigma0 < 0 or self.sigma1 < 0 or (self.sigma0 == 0 and self.sigma1 == 0):
-            raise DataError("sigma0 and sigma1 must be >= 0 and not both zero")
-        if not self.pareto_alpha > 1:
-            raise DataError(f"pareto_alpha must exceed 1, got {self.pareto_alpha}")
-        if not self.pareto_scale > 0:
-            raise DataError(f"pareto_scale must be positive, got {self.pareto_scale}")
 
 
 def _uniforms(seed: int, count: int) -> np.ndarray:
@@ -254,25 +229,24 @@ def _uniforms(seed: int, count: int) -> np.ndarray:
 def gen_hetero_normal(config: SynthConfig) -> Dataset:
     """Line plus heteroscedastic normal noise, variance growing linearly in x.
 
-    Stream layout: the first n uniforms give x (scaled into x_range); the next
+    Stream layout: the first n uniforms give x (scaled into [0, 10)); the next
     2n give normals via Box-Muller, z_i = sqrt(-2 ln u_{2i}) * cos(2 pi u_{2i+1}).
     """
     if config.kind != KIND_HETERO_NORMAL:
         raise DataError(f"config.kind is {config.kind!r}, expected {KIND_HETERO_NORMAL!r}")
     n = config.n
     u = _uniforms(config.seed, 3 * n)
-    lo, hi = config.x_range
-    x = lo + (hi - lo) * u[:n]
+    x = _X_MAX * u[:n]
     u1 = u[n:3 * n:2]
     u2 = u[n + 1:3 * n:2]
     z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
-    sigma = config.sigma0 + config.sigma1 * x
-    y = config.beta0 + config.beta1 * x + sigma * z
+    sigma = _SIGMA0 + _SIGMA1 * x
+    y = _BETA0 + _BETA1 * x + sigma * z
     return Dataset.from_predictors(x, y, names=("x",))
 
 
 def gen_pareto(config: SynthConfig) -> Dataset:
-    """Line plus one-sided Pareto noise: e = scale * U**(-1/alpha), so e >= scale.
+    """Line plus one-sided Pareto noise: e = U**(-1/alpha), so e >= 1.
 
     Stream layout: first n uniforms give x, the next n give the Pareto draws.
     """
@@ -280,19 +254,16 @@ def gen_pareto(config: SynthConfig) -> Dataset:
         raise DataError(f"config.kind is {config.kind!r}, expected {KIND_PARETO!r}")
     n = config.n
     u = _uniforms(config.seed, 2 * n)
-    lo, hi = config.x_range
-    x = lo + (hi - lo) * u[:n]
-    e = config.pareto_scale * u[n:] ** (-1.0 / config.pareto_alpha)
-    y = config.beta0 + config.beta1 * x + e
+    x = _X_MAX * u[:n]
+    e = u[n:] ** (-1.0 / _PARETO_ALPHA)
+    y = _BETA0 + _BETA1 * x + e
     return Dataset.from_predictors(x, y, names=("x",))
 
 
 def _bundled(name: str) -> Dataset:
     ref = resources.files(__package__).joinpath(f"datasets/{name}.csv")
     with resources.as_file(ref) as path:
-        if name == "swiss":
-            return load_csv(path, CsvSchema(response="Fertility"))
-        return load_csv(path, CsvSchema(response="y1"))
+        return load_csv(path, "Fertility" if name == "swiss" else "y1")
 
 
 def load_swiss() -> Dataset:

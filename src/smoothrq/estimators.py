@@ -37,6 +37,7 @@ from .optim import (
 )
 
 __all__ = [
+    "FAILED",
     "FIT_GRAD_RTOL",
     "METHODS",
     "SMOOTH_PRESETS",
@@ -54,6 +55,13 @@ FIT_GRAD_RTOL = 1e-6
 
 METHODS = ("rq", "srq", "smrq", "rrq", "flex")
 SMOOTH_PRESETS = {"srq": SRQ, "smrq": SMRQ}
+
+# fit_grid's status for a level whose solver failed, followed by the message
+FAILED = "failed: "
+
+# TauGrid.from_count and from_step refuse to build more levels than this,
+# about 100 times the largest grid in use (999 levels)
+_MAX_LEVELS = 100_000
 
 # fit_rq_lp refuses an LP whose dense simplex tableau, n x (2n + 2p + 1)
 # doubles, would exceed this many MiB: n=2000 at p=10 takes 61 MiB, n=5000
@@ -86,8 +94,8 @@ class TauGrid:
     @classmethod
     def from_count(cls, m: int) -> "TauGrid":
         """m evenly spaced interior levels: tau_i = i / (m + 1), i = 1..m."""
-        if m < 1:
-            raise ValueError(f"need at least one grid point, got {m}")
+        if not 1 <= m <= _MAX_LEVELS:
+            raise ValueError(f"need between 1 and {_MAX_LEVELS} grid points, got {m}")
         return cls(np.arange(1, m + 1) / float(m + 1))
 
     @classmethod
@@ -95,14 +103,20 @@ class TauGrid:
         """Arithmetic grid start, start+step, ..., clipped to the open interval.
 
         Endpoints landing on 0 or 1 are dropped rather than rejected, so
-        (0, 1, 0.01) yields the 99 interior percent levels.
+        (0, 1, 0.01) yields the 99 interior percent levels.  A grid that would
+        span more than 100000 levels is refused before any array is built.
         """
+        if not np.isfinite([start, end, step]).all():
+            raise ValueError(f"grid ({start}, {end}, {step}) is not finite")
         if not step > 0:
             raise ValueError(f"step must be positive, got {step}")
         if not start < end:
             raise ValueError(f"need start < end, got ({start}, {end})")
-        k = int(np.floor((end - start) / step + 1e-9))
-        vals = np.round(start + step * np.arange(k + 1), 12)
+        k = np.floor((end - start) / step + 1e-9)
+        if not k < _MAX_LEVELS:
+            raise ValueError(f"grid ({start}, {end}, {step}) spans more than "
+                             f"{_MAX_LEVELS} levels")
+        vals = np.round(start + step * np.arange(int(k) + 1), 12)
         vals = vals[(vals > 1e-12) & (vals < 1.0 - 1e-12)]
         if vals.size == 0:
             raise ValueError(f"grid ({start}, {end}, {step}) has no interior points")
@@ -117,11 +131,10 @@ class TauGrid:
 
 @dataclass
 class QuantileFit:
-    """One fitted plane: level, coefficients, method tag, solver report."""
+    """One fitted plane: level, coefficients, solver report."""
 
     tau: float
     beta: np.ndarray
-    method: str
     report: SolveReport
 
 
@@ -145,9 +158,6 @@ class RRQModel:
     homoscedastic_degenerate: bool = False
     negative_scales: bool = False
 
-    def plane(self, k: int) -> np.ndarray:
-        return self.beta_med + self.c[k] * self.gamma
-
     def planes(self) -> np.ndarray:
         return self.beta_med[None, :] + np.outer(self.c, self.gamma)
 
@@ -160,11 +170,6 @@ class RRQModel:
         if self.negative_scales:
             return self.med_report.status + "; some fitted scales are negative"
         return self.med_report.status
-
-
-def _method_tag(params: FlexCheckParams) -> str:
-    return next((name for name, preset in SMOOTH_PRESETS.items() if preset == params),
-                "flex")
 
 
 def fit_smooth(data: Dataset, tau: float, params: FlexCheckParams = SRQ,
@@ -192,8 +197,7 @@ def fit_smooth(data: Dataset, tau: float, params: FlexCheckParams = SRQ,
                          message=f"solver stopped with status {report.status!r} "
                                  f"at |grad|={report.grad_norm:.3e}; "
                                  f"accepted at fit tolerance {tol:.1e}")
-    return QuantileFit(tau=float(tau), beta=report.x, method=_method_tag(params),
-                       report=report)
+    return QuantileFit(tau=float(tau), beta=report.x, report=report)
 
 
 def _refine_vertex(data: Dataset, beta: np.ndarray, tau: float) -> np.ndarray:
@@ -297,7 +301,7 @@ def fit_rq_lp(data: Dataset, tau: float) -> QuantileFit:
         status=status,
         zero_rc_columns=lp.zero_rc_columns,
     )
-    return QuantileFit(tau=tau, beta=beta, method="rq", report=report)
+    return QuantileFit(tau=tau, beta=beta, report=report)
 
 
 class _DirectionSteps:
@@ -396,38 +400,43 @@ def fit_grid(data: Dataset, tau_grid, method: str,
              params: FlexCheckParams | None = None) -> GridResult:
     """Fit one method across a tau grid and attach the count curve.
 
-    Grid entries are fitted in increasing tau order, each smooth level from
-    the zero vector.  A level whose solver fails is recorded in statuses and
-    left as a NaN coefficient row; the remaining levels still run.  The count
-    curve is attached only when every level produced coefficients.
+    This is the one place a method name picks its fitting routine and loss:
+    rq is the exact LP, srq and smrq the smooth fit with their preset shape,
+    flex the smooth fit with params, and rrq the restricted family.  Grid
+    entries are fitted in increasing tau order, each smooth level from the
+    zero vector.  A level whose solver raises SolverError is recorded as
+    FAILED plus the message and left as a NaN coefficient row, and the
+    remaining levels still run; an rrq failure fails every level of the
+    family.  The count curve is attached only when every level produced
+    coefficients.
     """
     grid = TauGrid.coerce(tau_grid)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
+    if method == "flex" and params is None:
+        raise ValueError("method 'flex' needs explicit FlexCheckParams")
+    params = SMOOTH_PRESETS.get(method, params)
     m, p = len(grid), data.n_coef
     coefs = np.full((m, p), np.nan)
     statuses: list[str] = []
 
     if method == "rrq":
-        model = fit_rrq(data, grid)
-        coefs = model.planes()
-        statuses = [model.status] * m
-    elif method == "rq":
-        for k, tau in enumerate(grid):
-            fit = fit_rq_lp(data, tau)
-            coefs[k] = fit.beta
-            statuses.append(fit.report.status)
-    else:
-        if method == "flex":
-            if params is None:
-                raise ValueError("method 'flex' needs explicit FlexCheckParams")
+        try:
+            model = fit_rrq(data, grid)
+        except SolverError as exc:
+            statuses = [FAILED + str(exc)] * m
         else:
-            params = SMOOTH_PRESETS[method]
+            coefs = model.planes()
+            statuses = [model.status] * m
+    else:
         for k, tau in enumerate(grid):
             try:
-                fit = fit_smooth(data, tau, params=params)
+                if method == "rq":
+                    fit = fit_rq_lp(data, tau)
+                else:
+                    fit = fit_smooth(data, tau, params=params)
             except SolverError as exc:
-                statuses.append(f"failed: {exc}")
+                statuses.append(FAILED + str(exc))
                 continue
             coefs[k] = fit.beta
             statuses.append(fit.report.status)

@@ -79,6 +79,14 @@ class TestFlagValidation:
             assert "at least 3" in capsys.readouterr().err
             assert not out_dir.exists()
 
+    def test_grid_size_limit(self, tmp_path, capsys):
+        for i, grid in enumerate(("0,inf,0.1", "0,1,1e-9", "1000000000")):
+            out_dir = tmp_path / f"g{i}"
+            assert exit_code(["grid", "--data", "anscombe", "--grid", grid,
+                              "--methods", "rq", "--out", str(out_dir)]) == 2
+            assert "argument --grid" in capsys.readouterr().err
+            assert not out_dir.exists()
+
     def test_bench_rejects_flex(self, tmp_path, capsys):
         assert exit_code(["bench", "--kind", "normal", "--sizes", "20",
                           "--seed", "1", "--methods", "rq,flex",
@@ -138,12 +146,18 @@ class TestFit:
         k = lines.index("coefficients:")
         return [float(l.split()[-1]) for l in lines[k + 1:k + 3]]
 
-    def test_warm_start_same_fit(self, capsys):
-        _, cold, _ = run_cli(["fit", "--data", "anscombe", "--tau", "0.3",
-                              "--method", "srq"], capsys)
-        _, warm, _ = run_cli(["fit", "--data", "anscombe", "--tau", "0.3",
-                              "--method", "srq", "--warm-start"], capsys)
-        assert self._coefs(cold) == pytest.approx(self._coefs(warm), abs=1e-6)
+    @pytest.mark.parametrize("method, solver", [("rq", "fit_rq_lp"), ("srq", "fit_smooth"),
+                                                ("rrq", "fit_rq_lp")])
+    def test_failed_level_exits_4(self, capsys, monkeypatch, method, solver):
+        def broken(*args, **kwargs):
+            raise SolverError("synthetic solver outage")
+
+        monkeypatch.setattr(estimators, solver, broken)
+        code, out, err = run_cli(["fit", "--data", "anscombe", "--tau", "0.3",
+                                  "--method", method], capsys)
+        assert code == 4
+        assert out == ""
+        assert err == "error: synthetic solver outage\n"
 
     def test_oversized_rq_exits_4(self, tmp_path, capsys):
         # 3000 rows need a 137 MiB simplex tableau, above the 128 MiB limit
@@ -283,6 +297,33 @@ class TestGrid:
         assert "synthetic failure" in err
         events = (out_dir / "events.tsv").read_text().splitlines()
         assert events[1].split("\t")[1:] == ["-", "-"]
+
+
+    def test_failed_rq_level_keeps_other_columns(self, tmp_path, capsys, monkeypatch):
+        real = estimators.fit_rq_lp
+
+        def flaky(data, tau):
+            if tau == 0.5:
+                raise SolverError("synthetic rq failure")
+            return real(data, tau)
+
+        monkeypatch.setattr(estimators, "fit_rq_lp", flaky)
+        out_dir = tmp_path / "partial"
+        code, _, err = run_cli(["grid", "--data", "anscombe", "--grid", "3",
+                                "--methods", "rq,srq", "--out", str(out_dir)], capsys)
+        assert code == 4
+        assert "rq: failed: synthetic rq failure" in err
+        counts = [line.split("\t") for line in
+                  (out_dir / "counts.tsv").read_text().splitlines()]
+        assert counts[0] == ["tau", "rq", "srq"]
+        assert all(row[1] == "" and row[2].isdigit() for row in counts[1:])
+        events = (out_dir / "events.tsv").read_text().splitlines()
+        assert events[1].split("\t")[1] == "-" and events[2].split("\t")[1] == "-"
+        assert "/" in events[1].split("\t")[2] and events[2].split("\t")[2].isdigit()
+        coefs = (out_dir / "coefficients.tsv").read_text().splitlines()
+        assert coefs[2].split("\t")[:2] == ["rq", "0.5"]
+        assert coefs[2].split("\t")[2:] == ["nan", "nan"]
+        assert all("nan" not in row for row in coefs[4:])
 
 
 class TestBench:

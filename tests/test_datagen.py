@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from smoothrq import (
-    CsvSchema,
     DataError,
     Dataset,
     SynthConfig,
@@ -65,7 +64,7 @@ class TestCsv:
         d = gen_hetero_normal(SynthConfig(n=25, seed=3))
         p = tmp_path / "d.csv"
         write_csv(d, p)
-        back = load_csv(p, CsvSchema(response="y"))
+        back = load_csv(p, "y")
         assert back.X.tobytes() == d.X.tobytes()
         assert back.y.tobytes() == d.y.tobytes()
         assert back.column_names == d.column_names
@@ -73,55 +72,49 @@ class TestCsv:
     def test_small_file(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("x,y\n1,10\n2,20\n3,30\n")
-        d = load_csv(p, CsvSchema(response="y"))
+        d = load_csv(p, "y")
         assert (d.n_obs, d.n_coef) == (3, 2)
         assert d.y == pytest.approx([10.0, 20.0, 30.0])
 
     def test_blank_lines_skipped(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("x,y\n1,10\n\n2,20\n\n\n3,30\n")
-        d = load_csv(p, CsvSchema(response="y"))
+        d = load_csv(p, "y")
         assert d.n_obs == 3
 
     def test_non_numeric_cell_names_position(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("x,y\n1,10\n2,oops\n")
         with pytest.raises(DataError, match=r"'oops'.*line 3.*'y'"):
-            load_csv(p, CsvSchema(response="y"))
+            load_csv(p, "y")
 
     def test_missing_response(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("a,b\n1,2\n")
         with pytest.raises(DataError, match="'y' not in header"):
-            load_csv(p, CsvSchema(response="y"))
-
-    def test_header_mismatch(self, tmp_path):
-        p = tmp_path / "t.csv"
-        p.write_text("a,b\n1,2\n")
-        with pytest.raises(DataError, match="does not match schema"):
-            load_csv(p, CsvSchema(response="b", columns=("a", "c")))
+            load_csv(p, "y")
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("")
         with pytest.raises(DataError, match="empty"):
-            load_csv(p, CsvSchema(response="y"))
+            load_csv(p, "y")
 
     def test_header_only(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("x,y\n")
         with pytest.raises(DataError, match="no data rows"):
-            load_csv(p, CsvSchema(response="y"))
+            load_csv(p, "y")
 
     def test_ragged_row_names_line(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("x,y\n1,10\n1,2,3\n")
         with pytest.raises(DataError, match="line 3 has 3 fields"):
-            load_csv(p, CsvSchema(response="y"))
+            load_csv(p, "y")
 
     def test_unreadable_path(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
-            load_csv(tmp_path / "absent.csv", CsvSchema(response="y"))
+            load_csv(tmp_path / "absent.csv", "y")
 
     def test_fingerprint_matches_serialization(self, tmp_path):
         d = Dataset.from_predictors([1.5, 2.5, 3.5], [1.0, 2.0, 3.0],
@@ -149,9 +142,10 @@ class TestGenerators:
         assert not np.array_equal(a.y, b.y)
 
     def test_x_within_range(self):
-        d = gen_hetero_normal(SynthConfig(n=200, seed=4, x_range=(-3.0, 5.0)))
-        assert d.X[:, 0].min() >= -3.0
-        assert d.X[:, 0].max() <= 5.0
+        for d in (gen_hetero_normal(SynthConfig(n=200, seed=4)),
+                  gen_pareto(SynthConfig(n=200, seed=4, kind=KIND_PARETO))):
+            assert d.X[:, 0].min() >= 0.0
+            assert d.X[:, 0].max() < 10.0
 
     def test_kind_mismatch(self):
         with pytest.raises(DataError):
@@ -164,14 +158,6 @@ class TestGenerators:
             SynthConfig(n=2, seed=1)
         with pytest.raises(DataError):
             SynthConfig(n=10, seed=1, kind="cauchy")
-        with pytest.raises(DataError):
-            SynthConfig(n=10, seed=1, sigma0=0.0, sigma1=0.0)
-        with pytest.raises(DataError):
-            SynthConfig(n=10, seed=1, pareto_alpha=1.0)
-        with pytest.raises(DataError):
-            SynthConfig(n=10, seed=1, pareto_scale=0.0)
-        with pytest.raises(DataError):
-            SynthConfig(n=10, seed=1, x_range=(2.0, 2.0))
 
     def test_hetero_spread_ratio(self):
         # spread grows linearly in x; the fitted |residual| profile at the

@@ -86,6 +86,27 @@ class TestTauGrid:
         with pytest.raises(ValueError):
             TauGrid.from_count(0)
 
+    def test_size_limit_refused_before_allocating(self):
+        # the parent asked np.arange for 1e9 levels (8 GB) on the first two
+        # and raised OverflowError on the infinite end
+        cases = [(TauGrid.from_count, (10 ** 9,), "between 1 and 100000"),
+                 (TauGrid.from_count, (estimators._MAX_LEVELS + 1,), "between 1 and"),
+                 (TauGrid.from_step, (0.0, 1.0, 1e-9), "more than 100000 levels"),
+                 (TauGrid.from_step, (0.0, 1e308, 1e-308), "more than 100000 levels"),
+                 (TauGrid.from_step, (0.0, np.inf, 0.1), "not finite"),
+                 (TauGrid.from_step, (np.nan, 1.0, 0.1), "not finite"),
+                 (TauGrid.from_step, (0.0, 1.0, np.inf), "not finite")]
+        tracemalloc.start()
+        try:
+            for build, args, message in cases:
+                with pytest.raises(ValueError, match=message):
+                    build(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert len(TauGrid.from_count(estimators._MAX_LEVELS)) == estimators._MAX_LEVELS
+
     def test_coerce(self):
         grid = TauGrid(np.array([0.5]))
         assert TauGrid.coerce(grid) is grid
@@ -95,7 +116,6 @@ class TestTauGrid:
 class TestFitSmooth:
     def test_intercept_only_median(self):
         fit = fit_smooth(intercept_only([1.0, 2.0, 4.0]), 0.5)
-        assert fit.method == "srq"
         assert fit.report.status == CONVERGED
         assert fit.beta[0] == pytest.approx(2.0, abs=1e-3)
         # the gradient tolerance and the curvature at the root bound the
@@ -126,14 +146,6 @@ class TestFitSmooth:
             _, g = loss_and_grad(data, fit.beta, tau)
             tol = 1e-6 * max(1.0, float(np.abs(fit.beta).max()))
             assert float(np.abs(g).max()) <= tol
-
-    def test_method_tags(self):
-        data = intercept_only([1.0, 2.0, 4.0])
-        from smoothrq import SMRQ
-        assert fit_smooth(data, 0.5).method == "srq"
-        assert fit_smooth(data, 0.5, params=SMRQ).method == "smrq"
-        custom = FlexCheckParams(c=3.0, h=0.0, s=0.5, v=0.0)
-        assert fit_smooth(data, 0.5, params=custom).method == "flex"
 
     def test_init_shape_rejected(self):
         with pytest.raises(ValueError, match="init has shape"):
@@ -251,7 +263,7 @@ class TestFitRrq:
         data = gen_hetero_normal(cfg)
         model = fit_rrq(data, TauGrid(np.array([0.2, 0.5, 0.8])))
         lp = fit_rq_lp(data, 0.5)
-        assert np.array_equal(model.plane(1), lp.beta)
+        assert np.array_equal(model.planes()[1], lp.beta)
 
     def test_direction_steps_nondecreasing_and_optimal(self):
         """c_tau grows with tau, is an exact kink, and beats a dense search over c.
@@ -341,7 +353,7 @@ class TestDirectionStep:
         for k, tau in enumerate(grid):
             ref = 0.0 if tau == 0.5 else direction_step_reference(r[moving], s[moving], tau)
             assert model.c[k] == ref, (tau, model.c[k], ref)
-            assert (classic_total(data, model.plane(k), tau)
+            assert (classic_total(data, model.planes()[k], tau)
                     == classic_total(data, model.beta_med + ref * model.gamma, tau))
 
     def test_duplicate_breakpoints(self):
@@ -453,6 +465,17 @@ class TestFitGrid:
         assert out.statuses[1].startswith("failed:")
         assert np.isnan(out.coefficients[1]).all()
         assert np.isfinite(out.coefficients[[0, 2]]).all()
+        assert out.curve is None
+
+    def test_failed_rrq_family_fails_every_level(self, monkeypatch):
+        def broken(data, tau):
+            raise SolverError("synthetic rq failure")
+
+        monkeypatch.setattr(estimators, "fit_rq_lp", broken)
+        data = line_dataset([0.0, 1.0, 2.0], [1.0, 3.0, 5.5])
+        out = fit_grid(data, [0.25, 0.5, 0.75], "rrq")
+        assert out.statuses == [estimators.FAILED + "synthetic rq failure"] * 3
+        assert np.isnan(out.coefficients).all()
         assert out.curve is None
 
     def test_rq_grid_statuses_recorded(self):

@@ -65,8 +65,8 @@ _MAX_LEVELS = 100_000
 
 # fit_rq_lp refuses an LP whose dense simplex tableau, n x (2n + 2p + 1)
 # doubles, would exceed this many MiB: n=2000 at p=10 takes 61 MiB, n=5000
-# would take 381 MiB, and a fit holds the constraint matrix and an n x n
-# identity next to the tableau
+# would take 381 MiB, and a fit holds the constraint matrix, one column
+# smaller, next to the tableau
 _MAX_TABLEAU_MB = 128
 
 
@@ -275,10 +275,10 @@ def fit_rq_lp(data: Dataset, tau: float) -> QuantileFit:
         raise SolverError(
             f"quantile LP with n={n}, p={p} needs a {tableau_mb:.0f} MiB simplex "
             f"tableau; the dense simplex is limited to {_MAX_TABLEAU_MB} MiB")
-    eye = np.eye(n)
+    # the identities are temporaries, so the solve holds only A and its tableau
     problem = LPProblem(
         c=np.concatenate([np.zeros(2 * p), np.full(n, tau), np.full(n, 1.0 - tau)]),
-        A=np.hstack([data.X, -data.X, eye, -eye]),
+        A=np.hstack([data.X, -data.X, np.eye(n), -np.eye(n)]),
         b=data.y,
     )
     lp = solve_lp_simplex(problem)

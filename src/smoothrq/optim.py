@@ -12,6 +12,9 @@ with reproducible behavior:
   once each row is scaled so its right-hand side is nonnegative, every row
   must own a unit column (one nonzero entry, equal to 1), as the quantile LP
   [X, -X, I, -I] always does.  A problem without one raises ValueError.
+  A pivot updates only the columns where its pivot row is nonzero, so on an
+  m-row tableau it costs O(m*k) for a row with k nonzeros, plus O(m + n)
+  for choosing the pivot.  For the quantile LP, k is at most 4p + 3.
 """
 
 from __future__ import annotations
@@ -249,7 +252,9 @@ def solve_lp_simplex(problem: LPProblem) -> SolveReport:
     Rows with a negative right-hand side are negated first.  The lowest-index
     unit column of each row then enters the starting basis, which is feasible
     because the right-hand side is nonnegative; a row without a unit column
-    raises ValueError before any pivot.  Pivoting stops after
+    raises ValueError before any pivot.  A pivot scales and eliminates only
+    the k columns where the pivot row is nonzero: O(m*k) work for m rows,
+    where a full-tableau pivot would take O(m*n).  Pivoting stops after
     200 + 50 * (rows + columns) pivots with status "iteration-cap".  At the
     optimum, any non-basic column with zero reduced cost marks alternative
     optima and flips the status to "degenerate-multiple"; the indices are
@@ -257,20 +262,24 @@ def solve_lp_simplex(problem: LPProblem) -> SolveReport:
     """
     c = problem.c
     m, n = problem.A.shape
-    # the tableau carries the rhs in its last column; Fortran order, because
-    # dger updates in place only on Fortran order
+    # the tableau carries the rhs in its last column; Fortran order, so the
+    # columns a pivot gathers are contiguous and dger updates them in place
     T = np.empty((m, n + 1), order="F")
     T[:, :n] = problem.A
     T[:, n] = problem.b
     T[problem.b < 0] *= -1.0
     cost_scale = max(1.0, float(np.abs(c).max()) if n else 1.0)
 
+    # a unit column has one nonzero entry, a 1; each row takes its lowest.
+    # Only boolean and index arrays are built here: a gathered float copy of
+    # the unit columns would be as large as the tableau
     basis = np.full(m, -1, dtype=int)
-    for j in range(n):
-        col = T[:, j]
-        nz = np.nonzero(col)[0]
-        if nz.size == 1 and col[nz[0]] == 1.0 and basis[nz[0]] < 0:
-            basis[nz[0]] = j
+    if m:
+        cols = np.arange(n)
+        rows = np.argmax(T[:, :n] != 0.0, axis=0)  # first nonzero row of each column
+        unit = (np.count_nonzero(T[:, :n], axis=0) == 1) & (T[rows, cols] == 1.0)
+        owned, first = np.unique(rows[unit], return_index=True)
+        basis[owned] = cols[unit][first]
     missing = np.nonzero(basis < 0)[0]
     if missing.size:
         raise ValueError(f"row {int(missing[0])} has no unit column; "
@@ -279,7 +288,6 @@ def solve_lp_simplex(problem: LPProblem) -> SolveReport:
     z = c - c[basis] @ T[:, :-1]  # reduced costs of the structural columns
     enter_tol = 1e-9 * cost_scale
     fac = np.empty(m)
-    row = np.empty(n + 1)
     ratios = np.empty(m)
     it = 0
     while it < 200 + 50 * (m + n):
@@ -292,16 +300,22 @@ def solve_lp_simplex(problem: LPProblem) -> SolveReport:
         if not pos.any():
             return SolveReport(None, None, it, UNBOUNDED, "objective decreases without bound")
         ratios.fill(np.inf)
-        ratios[pos] = T[pos, -1] / col[pos]
+        np.divide(T[:, -1], col, out=ratios, where=pos)
         rmin = ratios.min()
         ties = np.nonzero(ratios <= rmin + 1e-12 * (1.0 + abs(rmin)))[0]
         r = int(ties[np.argmin(basis[ties])])  # Bland: lowest basic index leaves
-        T[r] /= T[r, q]
+        # a column with a zero in the pivot row would only have +-0 added, so
+        # the pivot touches only the row's nonzero columns (q among them) with
+        # the same arithmetic the whole tableau would get
+        nz = T[r].nonzero()[0]
+        touched = T[:, nz]
+        touched[r] /= T[r, q]
+        row = touched[r].copy()
         fac[:] = T[:, q]
         fac[r] = 0.0
-        row[:] = T[r]
-        dger(-1.0, fac, row, a=T, overwrite_a=1)
-        z -= z[q] * row[:-1]
+        T[:, nz] = dger(-1.0, fac, row, a=touched, overwrite_a=1)
+        k = nz.size - (int(nz[-1]) == n)  # the structural columns among nz
+        z[nz[:k]] -= z[q] * row[:k]
         z[q] = 0.0
         basis[r] = q
         # sweep out rounding drift so the ratio test stays valid

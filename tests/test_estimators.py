@@ -215,13 +215,29 @@ class TestFitRqLp:
             tracemalloc.stop()
         assert peak < 2 ** 20
 
+    def test_solve_holds_only_the_lp_and_its_tableau(self):
+        # A is n x (2n + 2p) doubles and the tableau n x (2n + 2p + 1); an
+        # n x n identity kept alive next to them would add a quarter more
+        data = gen_hetero_normal(SynthConfig(n=1000, seed=33, kind=KIND_HETERO_NORMAL))
+        n, p = data.X.shape
+        lp_and_tableau = 8 * n * ((2 * n + 2 * p) + (2 * n + 2 * p + 1))
+        tracemalloc.start()
+        try:
+            fit_rq_lp(data, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * lp_and_tableau, (peak, lp_and_tableau)
+
     @pytest.mark.parametrize("data, grid", [
         (gen_hetero_normal(SynthConfig(n=50, seed=31, kind=KIND_HETERO_NORMAL)),
          TauGrid.from_count(9)),
         (gen_hetero_normal(SynthConfig(n=400, seed=32, kind=KIND_HETERO_NORMAL)),
          TauGrid.from_count(9)),
+        (gen_hetero_normal(SynthConfig(n=2000, seed=35, kind=KIND_HETERO_NORMAL)),
+         TauGrid.from_count(9)),
         (load_swiss(), TauGrid.from_count(99)),
-    ], ids=["hetero-n50", "hetero-n400", "swiss"])
+    ], ids=["hetero-n50", "hetero-n400", "hetero-n2000", "swiss"])
     def test_objectives_match_highs(self, data, grid):
         """Every rq level reaches the optimum HiGHS finds, to a relative 1e-9.
 
@@ -231,9 +247,9 @@ class TestFitRqLp:
         from scipy.optimize import linprog
 
         n, p = data.X.shape
+        out = fit_grid(data, grid, "rq")
         eye = np.eye(n)
         A = np.hstack([data.X, -data.X, eye, -eye])
-        out = fit_grid(data, grid, "rq")
         for tau, beta in zip(grid, out.coefficients):
             cost = np.concatenate([np.zeros(2 * p), np.full(n, tau), np.full(n, 1.0 - tau)])
             res = linprog(cost, A_eq=A, b_eq=data.y, bounds=(0, None), method="highs")

@@ -2,15 +2,24 @@
 
 import numpy as np
 import pytest
+from scipy.linalg.blas import dger
 
 from smoothrq import (
+    Dataset,
     LPProblem,
     SolverError,
+    SynthConfig,
+    fit_rq_lp,
+    gen_hetero_normal,
+    gen_pareto,
+    load_anscombe,
+    load_swiss,
     minimize_qn,
     solve_lp_simplex,
 )
-from smoothrq import optim
-from smoothrq.optim import CONVERGED, DEGENERATE_MULTIPLE, UNBOUNDED
+from smoothrq import estimators, optim
+from smoothrq.datagen import KIND_HETERO_NORMAL, KIND_PARETO
+from smoothrq.optim import CONVERGED, DEGENERATE_MULTIPLE, ITERATION_CAP, UNBOUNDED, SolveReport
 
 
 def slack_form(rng, m, k):
@@ -21,6 +30,133 @@ def slack_form(rng, m, k):
     A = np.hstack([B, np.eye(m)])
     b = np.abs(rng.normal(size=m)) + 0.1
     return A, b
+
+
+def dense_reference_simplex(problem):
+    """The full-tableau simplex that the column-sparse pivots replaced.
+
+    Every pivot scales the whole pivot row and runs dger over the whole
+    tableau, and the slack basis is found one column at a time.
+    """
+    c = problem.c
+    m, n = problem.A.shape
+    T = np.empty((m, n + 1), order="F")
+    T[:, :n] = problem.A
+    T[:, n] = problem.b
+    T[problem.b < 0] *= -1.0
+    cost_scale = max(1.0, float(np.abs(c).max()) if n else 1.0)
+
+    basis = np.full(m, -1, dtype=int)
+    for j in range(n):
+        col = T[:, j]
+        nz = np.nonzero(col)[0]
+        if nz.size == 1 and col[nz[0]] == 1.0 and basis[nz[0]] < 0:
+            basis[nz[0]] = j
+    missing = np.nonzero(basis < 0)[0]
+    if missing.size:
+        raise ValueError(f"row {int(missing[0])} has no unit column; "
+                         "solve_lp_simplex needs a slack basis")
+
+    z = c - c[basis] @ T[:, :-1]
+    enter_tol = 1e-9 * cost_scale
+    fac = np.empty(m)
+    row = np.empty(n + 1)
+    ratios = np.empty(m)
+    it = 0
+    while it < 200 + 50 * (m + n):
+        eligible = np.nonzero(z < -enter_tol)[0]
+        if eligible.size == 0:
+            break
+        q = int(eligible[0])
+        col = T[:, q]
+        pos = col > 1e-10
+        if not pos.any():
+            return SolveReport(None, None, it, UNBOUNDED, "objective decreases without bound")
+        ratios.fill(np.inf)
+        ratios[pos] = T[pos, -1] / col[pos]
+        rmin = ratios.min()
+        ties = np.nonzero(ratios <= rmin + 1e-12 * (1.0 + abs(rmin)))[0]
+        r = int(ties[np.argmin(basis[ties])])
+        T[r] /= T[r, q]
+        fac[:] = T[:, q]
+        fac[r] = 0.0
+        row[:] = T[r]
+        dger(-1.0, fac, row, a=T, overwrite_a=1)
+        z -= z[q] * row[:-1]
+        z[q] = 0.0
+        basis[r] = q
+        rhs = T[:, -1]
+        rhs[(rhs < 0.0) & (rhs > -1e-9)] = 0.0
+        it += 1
+    else:
+        return SolveReport(None, None, it, ITERATION_CAP, "pivot cap reached")
+
+    x = np.zeros(n)
+    x[basis] = T[:, -1]
+    objective = float(c @ x)
+    z_final = c - c[basis] @ T[:, :-1]
+    nonbasic = np.setdiff1d(np.arange(n), basis)
+    zero_rc = tuple(int(j) for j in nonbasic if abs(z_final[j]) <= 1e-9 * cost_scale)
+    status = DEGENERATE_MULTIPLE if zero_rc else CONVERGED
+    return SolveReport(x=x, fun=objective, iterations=it, status=status,
+                       zero_rc_columns=zero_rc)
+
+
+def beale_problem():
+    A = np.array([
+        [0.25, -60.0, -1.0 / 25.0, 9.0, 1.0, 0.0, 0.0],
+        [0.5, -90.0, -1.0 / 50.0, 3.0, 0.0, 1.0, 0.0],
+        [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0],
+    ])
+    c = np.array([-0.75, 150.0, -0.02, 6.0, 0.0, 0.0, 0.0])
+    return LPProblem(c=c, A=A, b=[0.0, 0.0, 1.0])
+
+
+def quantile_lp(data, tau):
+    n, p = data.X.shape
+    eye = np.eye(n)
+    return LPProblem(c=np.concatenate([np.zeros(2 * p), np.full(n, tau), np.full(n, 1.0 - tau)]),
+                     A=np.hstack([data.X, -data.X, eye, -eye]), b=data.y)
+
+
+def integer_grid_data(seed, n=30):
+    """Small-integer predictors and responses, full of ties, some zeros as -0.0."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(-3, 4, size=n).astype(float)
+    y = rng.integers(-2, 3, size=n).astype(float)
+    y[(y == 0) & (rng.random(n) < 0.5)] = -0.0
+    return Dataset.from_predictors(x[:, None], y, ["x"], "y")
+
+
+def duplicate_row_data(seed, n=30):
+    """Rows drawn with replacement from eight distinct points, one at y = -0.0."""
+    rng = np.random.default_rng(seed)
+    x = np.round(rng.normal(size=8), 2)
+    y = np.round(x + rng.normal(size=8), 2)
+    y[0] = -0.0
+    pick = rng.integers(0, 8, size=n)
+    return Dataset.from_predictors(x[pick, None], y[pick], ["x"], "y")
+
+
+QUANTILE_DATA = [
+    ("hetero-n50", lambda: gen_hetero_normal(SynthConfig(n=50, seed=41, kind=KIND_HETERO_NORMAL))),
+    ("hetero-n400", lambda: gen_hetero_normal(SynthConfig(n=400, seed=42, kind=KIND_HETERO_NORMAL))),
+    ("pareto-n200", lambda: gen_pareto(SynthConfig(n=200, seed=43, kind=KIND_PARETO))),
+    ("swiss", load_swiss),
+    ("anscombe", load_anscombe),
+] + [(f"integer-grid-{k}", lambda k=k: integer_grid_data(k)) for k in range(8)] \
+  + [(f"duplicate-rows-{k}", lambda k=k: duplicate_row_data(k)) for k in range(8)]
+
+
+def assert_same_solve(problem):
+    mine, ref = solve_lp_simplex(problem), dense_reference_simplex(problem)
+    assert mine.status == ref.status
+    assert mine.iterations == ref.iterations
+    assert mine.zero_rc_columns == ref.zero_rc_columns
+    assert mine.fun == ref.fun
+    # equal values; only the sign of a zero may differ
+    assert np.array_equal(mine.x, ref.x)
+    return mine
 
 
 class TestMinimizeQN:
@@ -148,14 +284,7 @@ class TestSimplex:
 
     def test_beale_cycling_instance(self):
         # classic Dantzig-pivot cycling example; Bland's rule must terminate
-        A = np.array([
-            [0.25, -60.0, -1.0 / 25.0, 9.0, 1.0, 0.0, 0.0],
-            [0.5, -90.0, -1.0 / 50.0, 3.0, 0.0, 1.0, 0.0],
-            [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0],
-        ])
-        b = np.array([0.0, 0.0, 1.0])
-        c = np.array([-0.75, 150.0, -0.02, 6.0, 0.0, 0.0, 0.0])
-        rep = solve_lp_simplex(LPProblem(c=c, A=A, b=b))
+        rep = solve_lp_simplex(beale_problem())
         assert rep.status in (CONVERGED, DEGENERATE_MULTIPLE)
         assert rep.fun == pytest.approx(-0.05, abs=1e-12)
 
@@ -203,6 +332,28 @@ class TestSimplex:
             pivoted += rep.iterations > 0
         assert pivoted >= 30
 
+    @pytest.mark.parametrize("A, b, x", [
+        # a row with two unit columns takes the lower index
+        ([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]], [2.0, 3.0], [2.0, 0.0, 3.0]),
+        # a single nonzero entry of 2 does not make a unit column
+        ([[2.0, 0.0, 1.0], [0.0, 1.0, 0.0]], [2.0, 3.0], [0.0, 3.0, 2.0]),
+        # negating row 0 for its rhs moves its unit column from 0 to 1
+        ([[1.0, -1.0, 0.0], [0.0, 0.0, 1.0]], [-2.0, 3.0], [0.0, 2.0, 3.0]),
+        # column 2 is a unit column of row 0, which column 1 already owns;
+        # row 1 still gets column 0
+        ([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0]], [2.0, 3.0], [3.0, 2.0, 0.0]),
+    ], ids=["two-units-in-a-row", "entry-two", "negated-row", "owned-row-skipped"])
+    def test_slack_basis_choice(self, A, b, x):
+        # zero costs: no pivot, so x is the starting basis
+        rep = assert_same_solve(LPProblem(c=np.zeros(3), A=A, b=b))
+        assert rep.iterations == 0
+        assert rep.x.tolist() == x
+
+    def test_no_rows(self):
+        rep = assert_same_solve(LPProblem(c=[1.0, 2.0], A=np.zeros((0, 2)), b=np.zeros(0)))
+        assert rep.status == CONVERGED
+        assert rep.x.tolist() == [0.0, 0.0]
+
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             LPProblem(c=[1.0], A=[[1.0, 2.0]], b=[1.0])
@@ -210,3 +361,33 @@ class TestSimplex:
             LPProblem(c=[1.0, 2.0], A=[[1.0, 2.0]], b=[1.0, 2.0])
         with pytest.raises(ValueError):
             LPProblem(c=[np.nan, 1.0], A=[[1.0, 2.0]], b=[1.0])
+
+
+class TestMatchesDenseReference:
+    """Column-sparse pivots take the full-tableau simplex's path, bit for bit."""
+
+    @pytest.mark.parametrize("make", [m for _, m in QUANTILE_DATA],
+                             ids=[n for n, _ in QUANTILE_DATA])
+    def test_quantile_lps(self, make, monkeypatch):
+        data = make()
+        taus = (0.1, 0.37, 0.5, 0.9)
+        for tau in taus:
+            assert_same_solve(quantile_lp(data, tau))
+        fits = [fit_rq_lp(data, tau) for tau in taus]
+        monkeypatch.setattr(estimators, "solve_lp_simplex", dense_reference_simplex)
+        for tau, fit in zip(taus, fits):
+            ref = fit_rq_lp(data, tau)
+            assert [f"{v:.17g}" for v in fit.beta] == [f"{v:.17g}" for v in ref.beta], tau
+            assert fit.report.status == ref.report.status
+
+    def test_slack_form_lps(self):
+        rng = np.random.default_rng(23)
+        for _ in range(40):
+            A, b = slack_form(rng, 3, 4)
+            assert_same_solve(LPProblem(c=rng.normal(size=7), A=A, b=b))
+        for m, k in ((8, 20), (30, 60)):
+            A, b = slack_form(rng, m, k)
+            assert_same_solve(LPProblem(c=rng.normal(size=m + k), A=A, b=b))
+
+    def test_beale_cycling_instance(self):
+        assert_same_solve(beale_problem())

@@ -6,8 +6,11 @@ Three routes to a fitted plane at level tau:
   The objective is strictly convex and differentiable, so the family of
   solutions moves continuously in tau.
 * fit_rq_lp minimizes the classic pinball loss exactly, as the linear
-  program  min tau*sum(u) + (1-tau)*sum(v)  s.t.  X(b+ - b-) + u - v = y,
-  all variables nonnegative.
+  program  min tau*sum(u) + (1-tau)*sum(v)  s.t.
+  X(b+ - b-) + u - v = y - X beta_ls,  all variables nonnegative, with
+  beta = beta_ls + b+ - b-.  beta_ls is the least-squares plane, so the
+  simplex's slack basis starts there rather than at beta = 0, and only the
+  points on the wrong side of that plane need pivots.
 * fit_rrq fits one median plane and one median scale plane, then restricts
   every other quantile to the pencil beta_med + c * gamma, choosing the
   scalar c per tau.  All planes share the two fitted directions, which rules
@@ -232,9 +235,9 @@ def _best_interval_endpoint(data: Dataset, beta: np.ndarray, tau: float) -> np.n
     With a single coefficient a degenerate optimum is a closed interval
     between adjacent data values, and the solver may stop anywhere on it
     (the all-residual start basis is already optimal when the interval
-    straddles zero).  The whole interval ties in exact arithmetic, but
-    float evaluations differ in the last bits, so the fit reports the
-    flanking data value whose evaluation is lowest.
+    contains the least-squares start, the mean).  The whole interval ties
+    in exact arithmetic, but float evaluations differ in the last bits, so
+    the fit reports the flanking data value whose evaluation is lowest.
     """
     b = float(beta[0])
     cands = []
@@ -254,6 +257,19 @@ def _best_interval_endpoint(data: Dataset, beta: np.ndarray, tau: float) -> np.n
 
 def fit_rq_lp(data: Dataset, tau: float) -> QuantileFit:
     """Exact pinball-loss fit via the simplex method.
+
+    The LP is posed in the offset from the min-norm least-squares plane
+    beta_ls:  X(b+ - b-) + u - v = y - X beta_ls,  beta = beta_ls + b+ - b-.
+    Its slack basis (b+ = b- = 0, residuals in u and v) is then the
+    least-squares plane, which already splits the points roughly as the fit
+    will, so only the points on the wrong side of it need pivots.  From
+    beta = 0, every positive response lies above the start, and each point
+    that ends below the fit costs about two pivots.  The optimal vertex's
+    plane is solved again from the rows it interpolates and the original y,
+    so wherever that re-solve applies the coefficients do not depend on the
+    start.  Where it does not, as on duplicate rows, they can differ from a
+    zero start in the last bits, or land on another optimal vertex of equal
+    objective.
 
     The reported objective is the pinball loss re-evaluated at the returned
     coefficients.  The status is "degenerate-multiple" when the LP optimum
@@ -275,16 +291,23 @@ def fit_rq_lp(data: Dataset, tau: float) -> QuantileFit:
         raise SolverError(
             f"quantile LP with n={n}, p={p} needs a {tableau_mb:.0f} MiB simplex "
             f"tableau; the dense simplex is limited to {_MAX_TABLEAU_MB} MiB")
-    # the identities are temporaries, so the solve holds only A and its tableau
+    # min-norm least squares, so a rank-deficient design still has a start
+    start = np.linalg.lstsq(data.X, data.y, rcond=None)[0]
+    A = np.zeros((n, 2 * n + 2 * p))
+    A[:, :p] = data.X
+    A[:, p:2 * p] = -data.X
+    rows = np.arange(n)
+    A[rows, 2 * p + rows] = 1.0
+    A[rows, 2 * p + n + rows] = -1.0
     problem = LPProblem(
         c=np.concatenate([np.zeros(2 * p), np.full(n, tau), np.full(n, 1.0 - tau)]),
-        A=np.hstack([data.X, -data.X, np.eye(n), -np.eye(n)]),
-        b=data.y,
+        A=A,
+        b=data.y - data.X @ start,
     )
     lp = solve_lp_simplex(problem)
     if lp.x is None:
         raise SolverError(f"quantile LP failed at tau={tau}: {lp.status} ({lp.message})")
-    beta = lp.x[:p] - lp.x[p:2 * p]
+    beta = start + (lp.x[:p] - lp.x[p:2 * p])
     beta = _refine_vertex(data, beta, tau)
 
     zero_rc = set(lp.zero_rc_columns)

@@ -267,7 +267,9 @@ def solve_lp_simplex(problem: LPProblem) -> SolveReport:
     T = np.empty((m, n + 1), order="F")
     T[:, :n] = problem.A
     T[:, n] = problem.b
-    T[problem.b < 0] *= -1.0
+    # scale in place: a boolean-indexed row update would gather a copy of
+    # those rows, strided across the Fortran-order tableau
+    T *= np.where(problem.b < 0, -1.0, 1.0)[:, None]
     cost_scale = max(1.0, float(np.abs(c).max()) if n else 1.0)
 
     # a unit column has one nonzero entry, a 1; each row takes its lowest.

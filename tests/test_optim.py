@@ -1,4 +1,6 @@
-"""Solver behavior: quasi-Newton descent, slack-basis simplex."""
+"""Solver behavior: quasi-Newton descent, slack-basis simplex, the quantile LP's start."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +11,10 @@ from smoothrq import (
     LPProblem,
     SolverError,
     SynthConfig,
+    TauGrid,
+    classic_total,
     fit_rq_lp,
+    fit_rrq,
     gen_hetero_normal,
     gen_pareto,
     load_anscombe,
@@ -117,6 +122,28 @@ def quantile_lp(data, tau):
     eye = np.eye(n)
     return LPProblem(c=np.concatenate([np.zeros(2 * p), np.full(n, tau), np.full(n, 1.0 - tau)]),
                      A=np.hstack([data.X, -data.X, eye, -eye]), b=data.y)
+
+
+def zero_start_fit(data, tau):
+    """fit_rq_lp as it was before the least-squares start.
+
+    The LP is solved for beta itself, so the slack basis starts it at
+    beta = 0; the vertex refinement and the status rule are fit_rq_lp's.
+    """
+    p = data.n_coef
+    lp = solve_lp_simplex(quantile_lp(data, tau))
+    if lp.x is None:
+        raise SolverError(f"quantile LP failed at tau={tau}: {lp.status}")
+    beta = estimators._refine_vertex(data, lp.x[:p] - lp.x[p:2 * p], tau)
+    zero_rc = set(lp.zero_rc_columns)
+    genuine = any(j >= 2 * p for j in zero_rc) or any(
+        k in zero_rc and k + p in zero_rc for k in range(p))
+    if genuine and p == 1:
+        beta = estimators._best_interval_endpoint(data, beta, tau)
+    report = SolveReport(x=beta, fun=classic_total(data, beta, tau), iterations=lp.iterations,
+                         status=DEGENERATE_MULTIPLE if genuine else CONVERGED,
+                         zero_rc_columns=lp.zero_rc_columns)
+    return estimators.QuantileFit(tau=tau, beta=beta, report=report)
 
 
 def integer_grid_data(seed, n=30):
@@ -282,6 +309,26 @@ class TestSimplex:
         assert rep.status in (CONVERGED, DEGENERATE_MULTIPLE)
         assert rep.x == pytest.approx([3.0, 2.0], abs=1e-12)
 
+    def test_negated_rows_are_not_copied(self):
+        # [B | I | -I] with half the rhs negative: negating those rows in place
+        # keeps the peak near the tableau; gathering them would add half of it
+        rng = np.random.default_rng(29)
+        m, k = 1000, 6
+        A = np.hstack([rng.normal(size=(m, k)), np.eye(m), -np.eye(m)])
+        b = rng.normal(size=m)
+        problem = LPProblem(c=np.concatenate([rng.normal(size=k), np.ones(2 * m)]), A=A, b=b)
+        del A
+        tableau = 8 * m * (k + 2 * m + 1)
+        tracemalloc.start()
+        try:
+            rep = solve_lp_simplex(problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (b < 0).sum() > m // 3
+        assert rep.status in (CONVERGED, DEGENERATE_MULTIPLE) and rep.iterations > 0
+        assert peak < 1.25 * tableau, (peak, tableau)
+
     def test_beale_cycling_instance(self):
         # classic Dantzig-pivot cycling example; Bland's rule must terminate
         rep = solve_lp_simplex(beale_problem())
@@ -391,3 +438,112 @@ class TestMatchesDenseReference:
 
     def test_beale_cycling_instance(self):
         assert_same_solve(beale_problem())
+
+
+def collinear_data(n, slope, icept):
+    x = np.linspace(0.0, 5.0, n)
+    return Dataset.from_predictors(x[:, None], slope * x + icept, ["x"], "y")
+
+
+def intercept_only_data(seed, n=25):
+    """Small integers with many repeats, so most levels sit on a tie."""
+    y = np.random.default_rng(seed).integers(0, 6, size=n).astype(float)
+    return Dataset(X=np.ones((n, 1)), y=y, column_names=["intercept"], response_name="y")
+
+
+def rounded_t2_data(seed, n=40):
+    """Two predictors and heavy-tailed t2 noise, all rounded to one decimal."""
+    rng = np.random.default_rng(seed)
+    x = np.round(rng.uniform(0.0, 10.0, size=(n, 2)), 1)
+    y = np.round(1.0 + x @ [0.5, -0.3] + rng.standard_t(2, size=n), 1)
+    return Dataset.from_predictors(x, y, ["x1", "x2"], "y")
+
+
+def duplicate_column_data(seed, n=40):
+    """rounded_t2_data with its first predictor repeated: a rank-deficient X."""
+    data = rounded_t2_data(seed, n)
+    x = data.X[:, :2]
+    return Dataset.from_predictors(x[:, [0, 0, 1]], data.y, ["x1", "x1b", "x2"], "y")
+
+
+TIE_DATA = [(f"integer-grid-{k}", lambda k=k: integer_grid_data(k)) for k in range(6)] \
+  + [(f"duplicate-rows-{k}", lambda k=k: duplicate_row_data(k)) for k in range(6)] \
+  + [(f"collinear-n{n}", lambda n=n, a=a, c=c: collinear_data(n, a, c))
+     for n, a, c in ((10, 2.0, 1.0), (25, -0.7, 3.0), (40, 0.0, -1.0))] \
+  + [(f"intercept-only-{k}", lambda k=k: intercept_only_data(k)) for k in range(4)] \
+  + [(f"rounded-t2-{k}", lambda k=k: rounded_t2_data(k)) for k in range(4)] \
+  + [(f"duplicate-column-{k}", lambda k=k: duplicate_column_data(k)) for k in range(2)]
+
+# 99 levels each, except 19 at n=1000, where the zero start takes 18 s for 99
+ZERO_START_DATA = [(name, make, 99) for name, make in QUANTILE_DATA[:5]] + [
+    ("hetero-n1000",
+     lambda: gen_hetero_normal(SynthConfig(n=1000, seed=44, kind=KIND_HETERO_NORMAL)), 19),
+]
+
+
+@pytest.fixture(scope="class")
+def rrq_n1000():
+    """fit_rrq at n=1000 over 499 levels, and the same family fitted from zero."""
+    data = gen_hetero_normal(SynthConfig(n=1000, seed=33, kind=KIND_HETERO_NORMAL))
+    grid = TauGrid.from_count(499)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimators, "fit_rq_lp", zero_start_fit)
+        ref = fit_rrq(data, grid)
+    return fit_rrq(data, grid), ref
+
+
+def text(beta):
+    return [f"{v:.17g}" for v in beta]
+
+
+class TestLeastSquaresStart:
+    """fit_rq_lp solves for the offset from the least-squares plane.
+
+    zero_start_fit solves the same LP from beta = 0; both must reach the
+    same planes, while the start saves most of the pivots.
+    """
+
+    @pytest.mark.parametrize("make, levels", [(m, k) for _, m, k in ZERO_START_DATA],
+                             ids=[n for n, _, _ in ZERO_START_DATA])
+    def test_planes_match_zero_start(self, make, levels):
+        data = make()
+        for tau in TauGrid.from_count(levels):
+            fit, ref = fit_rq_lp(data, tau), zero_start_fit(data, tau)
+            assert text(fit.beta) == text(ref.beta), tau
+            assert fit.report.status == ref.report.status, tau
+
+    def test_rrq_family_matches_zero_start(self, rrq_n1000):
+        model, ref = rrq_n1000
+        assert text(model.beta_med) == text(ref.beta_med)
+        assert text(model.gamma) == text(ref.gamma)
+        assert [text(b) for b in model.planes()] == [text(b) for b in ref.planes()]
+        assert model.status == ref.status
+
+    def test_median_and_scale_pivots_fall_tenfold(self, rrq_n1000):
+        # a start that silently fell back to zero would keep the same planes
+        # and only show here
+        model, ref = rrq_n1000
+        mine = model.med_report.iterations + model.scale_report.iterations
+        theirs = ref.med_report.iterations + ref.scale_report.iterations
+        assert 10 * mine <= theirs, (mine, theirs)
+
+    @pytest.mark.parametrize("make", [m for _, m in TIE_DATA], ids=[n for n, _ in TIE_DATA])
+    def test_tie_heavy_objectives(self, make):
+        """No fit ends above the zero-start fit or off HiGHS's optimum.
+
+        On ties, and along the null direction of a rank-deficient X, the two
+        starts may stop at different optimal vertices, so objectives are
+        compared, not coefficients.
+        """
+        from scipy.optimize import linprog
+
+        data = make()
+        p = data.n_coef
+        for tau in TauGrid.from_count(19):
+            fit, ref = fit_rq_lp(data, tau), zero_start_fit(data, tau)
+            assert fit.report.fun <= ref.report.fun * (1.0 + 1e-12) + 1e-12, tau
+            lp = quantile_lp(data, tau)
+            res = linprog(lp.c, A_eq=lp.A, b_eq=lp.b, bounds=(0, None), method="highs")
+            assert res.status == 0, res.message
+            best = classic_total(data, res.x[:p] - res.x[p:2 * p], tau)
+            assert abs(fit.report.fun - best) <= 1e-9 * max(1.0, abs(best)), tau

@@ -148,6 +148,16 @@ def _parse_sizes(text: str) -> list[int]:
     return sizes
 
 
+def _seed_flag(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be nonnegative, got {text}")
+    return seed
+
+
 def _tau_flag(text: str) -> float:
     try:
         tau = float(text)
@@ -170,6 +180,15 @@ def _load_dataset(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     if args.response is None:
         parser.error("--response is required for CSV input")
     return load_csv(name, args.response)
+
+
+def _out_dir(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Path:
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        parser.error(f"cannot create output directory: {exc}")
+    return out
 
 
 def _resolve_flex(args: argparse.Namespace, parser: argparse.ArgumentParser,
@@ -267,8 +286,7 @@ def _grid_columns(args: argparse.Namespace, parser: argparse.ArgumentParser,
 def cmd_grid(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     started = time.perf_counter()
     data = _load_dataset(args, parser)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args, parser)
 
     columns = _grid_columns(args, parser, data)
     names = list(columns)
@@ -367,8 +385,7 @@ def run_bench(kind: str, sizes: list[int], replicates: int, seed: int,
 def cmd_bench(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     started = time.perf_counter()
     kind = KIND_HETERO_NORMAL if args.kind == "normal" else KIND_PARETO
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args, parser)
 
     table = run_bench(kind, args.sizes, args.replicates, args.seed, args.methods)
 
@@ -534,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--sizes", type=_parse_sizes, required=True,
                        help="comma-separated observation counts, each >= 3")
     bench.add_argument("--replicates", type=int, default=10)
-    bench.add_argument("--seed", type=int, required=True)
+    bench.add_argument("--seed", type=_seed_flag, required=True)
     # bench has no --c/--h/--s/--v, so it cannot shape a flex loss
     bench.add_argument("--methods", required=True, type=partial(
         _parse_methods, choices=tuple(m for m in METHODS if m != "flex")))

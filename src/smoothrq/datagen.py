@@ -146,6 +146,8 @@ def load_csv(path, response: str) -> Dataset:
             rows = list(csv.reader(fh))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
     rows = [(i, r) for i, r in enumerate(rows, start=1) if any(c.strip() for c in r)]
     if not rows:
         raise DataError(f"{path}: file is empty")
@@ -204,6 +206,8 @@ def dataset_fingerprint(dataset: Dataset) -> dict:
 class SynthConfig:
     """Size, seed and noise family of one synthetic dataset.
 
+    The seed keys a Philox generator, so it must lie in [0, 2**128).
+
     Both families share the line y = 1 + 2x with x uniform on [0, 10).
     kind "hetero-normal" adds (0.5 + 0.3x)*z with z standard normal, and
     "pareto" adds a one-sided Pareto error e = U**(-1/2.5), so e >= 1.
@@ -216,6 +220,8 @@ class SynthConfig:
     def __post_init__(self):
         if self.n < 3:
             raise DataError(f"need at least 3 observations, got n={self.n}")
+        if not 0 <= self.seed < 2 ** 128:
+            raise DataError(f"seed must lie in [0, 2**128), got {self.seed}")
         if self.kind not in (KIND_HETERO_NORMAL, KIND_PARETO):
             raise DataError(f"unknown kind {self.kind!r}")
 

@@ -53,6 +53,9 @@ NEGATIVE = "negative"
 MIN_EVENT_LEVELS = 3
 # repair passes suppress_events makes before it reports non-convergence
 _SUPPRESS_PASSES = 3
+# count_below predicts this many planes at a time, so a stack of m planes
+# holds a 64 x n block of predictions rather than the whole m x n
+_COUNT_BLOCK = 64
 
 
 class Spike(NamedTuple):
@@ -158,7 +161,8 @@ def count_below(data: Dataset, beta):
     beta is one plane, giving an int, or an (m, p) stack of planes, giving an
     array of m counts.  Each plane is predicted by its own matrix-vector
     product, so a stacked count equals the per-plane counts bit for bit even
-    when a plane passes within an ulp of a data point.  A plane with a NaN
+    when a plane passes within an ulp of a data point.  Planes are predicted
+    64 at a time, so memory stays O(64 n) for any m.  A plane with a NaN
     or infinite coefficient, such as a failed level's row, raises DataError.
     """
     beta = np.asarray(beta, dtype=float)
@@ -169,7 +173,10 @@ def count_below(data: Dataset, beta):
     finite = np.isfinite(betas).all(axis=1)
     if not finite.all():
         raise DataError(f"plane row {int(np.argmin(finite))} has a non-finite coefficient")
-    counts = (data.y < (data.X @ betas[:, :, None])[:, :, 0]).sum(axis=1)
+    counts = np.empty(len(betas), dtype=int)
+    for i in range(0, len(betas), _COUNT_BLOCK):
+        block = betas[i:i + _COUNT_BLOCK, :, None]
+        counts[i:i + len(block)] = (data.y < (data.X @ block)[:, :, 0]).sum(axis=1)
     return int(counts[0]) if beta.ndim < 2 else counts
 
 

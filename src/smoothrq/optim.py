@@ -3,9 +3,9 @@
 Nothing in this module knows about quantiles.  It provides two primitives
 with reproducible behavior:
 
-* minimize_qn: BFGS-style minimizer for smooth convex objectives, with an
-  Armijo backtracking line search and a curvature guard on the inverse-Hessian
-  update.  Identical inputs produce bit-identical outputs.
+* minimize_qn: BFGS minimizer for smooth convex objectives, with a
+  weak-Wolfe line search that doubles the step until it overshoots, then
+  bisects.  Identical inputs produce bit-identical outputs.
 * solve_lp_simplex: primal simplex on a dense tableau using Bland's
   anti-cycling rule, reporting optimum multiplicity when a non-basic column
   has zero reduced cost.  It starts from a slack basis and has no phase 1:
@@ -45,22 +45,17 @@ DEGENERATE_MULTIPLE = "degenerate-multiple"
 _GRAD_TOL = 1e-8
 # minimize_qn stops with ITERATION_CAP after this many iterations
 _QN_MAX_ITER = 500
-# Armijo sufficient-decrease constant and backtracking factor of the line search
+# sufficient-decrease (Armijo) and curvature constants of the weak-Wolfe search
 _ARMIJO_C = 1e-4
-_BACKTRACK = 0.5
-# curvature threshold below which the BFGS update is skipped
-_CURVATURE_FLOOR = 1e-12
-# smallest Armijo step before the line search is declared stalled
-_ALPHA_FLOOR = 1e-20
+_WOLFE_C2 = 0.9
+# trial steps per line search before it settles for its last Armijo point
+_LS_TRIALS = 80
 # absolute noise allowance in the Armijo comparison: once true decreases fall
 # below float resolution of f, an exact test rejects or accepts at random and
 # the search churns; this lets resolution-limited steps (a few ulps of f)
 # through while still rejecting genuine backward moves (the gradient test
 # still decides convergence, and gradients carry full relative precision)
 _F_NOISE = 1e-15
-# consecutive accepted steps with no decrease beyond the noise allowance before
-# the inverse-Hessian approximation is presumed poisoned and reset
-_STALL_LIMIT = 8
 
 
 class SolverError(RuntimeError):
@@ -117,17 +112,20 @@ class SolveReport:
 def minimize_qn(fun_and_grad, x0) -> SolveReport:
     """Minimize a smooth function given a callable returning (value, gradient).
 
-    BFGS inverse-Hessian updates with the usual guards: the update is skipped
-    when the curvature s'y falls below 1e-12, the approximation is rescaled
-    once after the first accepted step, and it is reset to the identity if it
-    ever stops producing descent directions or if the objective stagnates
-    over several accepted steps.  The line search accepts on the Armijo
-    sufficient-decrease test only, with two numerical accommodations: an
-    absolute float-noise allowance in the comparison, and forward step growth
-    when the unit step decreased the objective exactly linearly (see the
-    inline comments).  A non-finite objective at the current iterate aborts
-    with SolverError; non-finite trial points are simply rejected by the
-    line search.  Convergence is declared when
+    Textbook BFGS (Nocedal & Wright 2006, ch. 3 and 6).  Each line search
+    looks for a weak-Wolfe step: sufficient decrease
+    f(x + a d) <= f + 1e-4 a g'd, up to an absolute float-noise allowance,
+    and curvature g(x + a d)'d >= 0.9 g'd.  It starts at a = 1, doubles a
+    until a trial fails the decrease test, then bisects between the largest
+    step known to pass it and the smallest known to fail it.  After 80
+    trials it takes the last step that passed the decrease test; if none
+    did, it stops with the message "line search stalled".  The inverse
+    Hessian is updated only when s'y > 0, which every step that meets the
+    curvature test gives, is rescaled once after the first update, and is
+    reset to the identity if it ever stops producing descent directions.
+    A non-finite objective at the starting point, a non-finite gradient at
+    an accepted step, or a line search whose last trial is non-finite with
+    none accepted aborts with SolverError.  Convergence is declared when
     ||grad||_inf <= 1e-8 * max(1, ||x||_inf), within 500 iterations.
     Everything is deterministic.
     """
@@ -144,8 +142,6 @@ def minimize_qn(fun_and_grad, x0) -> SolveReport:
     status = ITERATION_CAP
     message = ""
     it = 0
-    stalled = 0
-    best_gnorm = float(np.abs(g).max()) if p else 0.0
     for it in range(_QN_MAX_ITER + 1):
         gnorm = float(np.abs(g).max()) if p else 0.0
         if gnorm <= _GRAD_TOL * max(1.0, float(np.abs(x).max()) if p else 0.0):
@@ -161,78 +157,39 @@ def minimize_qn(fun_and_grad, x0) -> SolveReport:
             d = -g
             gd = -float(g @ g)
 
-        alpha = 1.0
-        accepted = False
-        f_new = f
+        # weak-Wolfe bracketing: [lo, hi] brackets the accepted step once a
+        # trial has failed the decrease test; until then the step doubles
         noise = _F_NOISE * (1.0 + abs(f))
-        while alpha >= _ALPHA_FLOOR:
-            x_new = x + alpha * d
-            f_new, g_new = fun_and_grad(x_new)
-            f_new = float(f_new)
-            if f_new <= f + _ARMIJO_C * alpha * gd + noise:
-                accepted = True
-                break
-            alpha *= _BACKTRACK
-        if not accepted:
-            if not np.isfinite(f_new):
+        lo, hi, alpha = 0.0, np.inf, 1.0
+        step = None
+        for _ in range(_LS_TRIALS):
+            x_t = x + alpha * d
+            f_t, g_t = fun_and_grad(x_t)
+            f_t = float(f_t)
+            if not f_t <= f + _ARMIJO_C * alpha * gd + noise:  # NaN fails too
+                hi = alpha
+            else:
+                g_t = np.asarray(g_t, dtype=float).ravel()
+                step = (x_t, f_t, g_t)
+                if float(g_t @ d) >= _WOLFE_C2 * gd:
+                    break
+                lo = alpha
+            alpha = 2.0 * alpha if hi == np.inf else 0.5 * (lo + hi)
+        if step is None:
+            if not np.isfinite(f_t):
                 raise SolverError(
                     f"objective became non-finite during line search at iteration {it}"
                 )
             message = "line search stalled"
             break
-
-        # Forward extension: when the unit step decreased the objective exactly
-        # linearly (a convex tail that is flat to float resolution, e.g. a
-        # saturated log-cosh at extreme tau), plain backtracking advances a
-        # fixed distance per iteration no matter how far away the minimum is.
-        # Growing the step while the Armijo test keeps passing crosses such
-        # tails in logarithmically many evaluations; acceptance is still
-        # decided by the Armijo condition alone.
-        if alpha == 1.0 and abs(f_new - (f + gd)) <= 1e-9 * (1.0 + abs(f)):
-            while alpha < 1e12:
-                alpha_try = alpha / _BACKTRACK
-                x_try = x + alpha_try * d
-                f_try, g_try = fun_and_grad(x_try)
-                f_try = float(f_try)
-                if not np.isfinite(f_try) or f_try > f + _ARMIJO_C * alpha_try * gd:
-                    break
-                alpha, x_new, f_new, g_new = alpha_try, x_try, f_try, g_try
-
-        g_new = np.asarray(g_new, dtype=float).ravel()
+        x_new, f_new, g_new = step
         if not np.isfinite(g_new).all():
             raise SolverError(f"gradient became non-finite at iteration {it}")
-
-        # Stagnation guard: the noise allowance above means steps can be
-        # accepted without any real decrease.  Progress is either an objective
-        # decrease beyond the noise, or a new low for the gradient norm (near
-        # the optimum the objective freezes at float resolution while the
-        # gradient still shrinks).  A run of steps without either states the
-        # inverse-Hessian approximation has gone bad; rebuilding it from the
-        # identity (with a fresh rescale) recovers.  The iteration cap remains
-        # the only terminator, so a hopeless instance still ends honestly.
-        gnorm_new = float(np.abs(g_new).max()) if p else 0.0
-        if f - f_new > noise or gnorm_new < best_gnorm:
-            stalled = 0
-            best_gnorm = min(best_gnorm, gnorm_new)
-        else:
-            stalled += 1
-            if stalled >= _STALL_LIMIT:
-                H = np.eye(p)
-                scaled = False
-                stalled = 0
-                x, f, g = x_new, f_new, g_new
-                continue
 
         s = x_new - x
         yv = g_new - g
         sy = float(s @ yv)
-        # the guard is absolute at ordinary scales and switches to a cosine
-        # test for the tiny endgame steps whose s'y is small only because the
-        # vectors are short; without that the approximation can never improve
-        # near a minimizer the line search approaches in sub-1e-6 steps
-        sy_floor = _CURVATURE_FLOOR * min(
-            1.0, float(np.linalg.norm(s)) * float(np.linalg.norm(yv)))
-        if sy > sy_floor:
+        if sy > 0.0:
             if not scaled:
                 H *= sy / float(yv @ yv)
                 scaled = True

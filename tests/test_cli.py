@@ -104,6 +104,37 @@ class TestFlagValidation:
                           "--replicates", "0", "--seed", "1",
                           "--methods", "rq", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("command", ["grid", "bench"])
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys, command):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        flags = (["--data", "anscombe", "--grid", "3", "--methods", "rq"]
+                 if command == "grid" else
+                 ["--kind", "normal", "--sizes", "20", "--replicates", "1",
+                  "--seed", "1", "--methods", "rq"])
+        assert exit_code([command, *flags, "--out", str(taken)]) == 2
+        assert "File exists" in capsys.readouterr().err
+        assert taken.read_text() == "not a directory\n"
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        assert exit_code(["bench", "--kind", "normal", "--sizes", "20",
+                          "--seed", "-3", "--methods", "rq",
+                          "--out", str(tmp_path / "b")]) == 2
+        assert "seed must be nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+        code, _, err = run_cli(["bench", "--kind", "normal", "--sizes", "20",
+                                "--seed", str(2 ** 128), "--methods", "rq",
+                                "--out", str(tmp_path / "b")], capsys)
+        assert code == 3 and "seed must lie in [0, 2**128)" in err
+
+    def test_non_utf8_csv_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("x,y\n1,2\n2,4\n3,\xe96\n".encode("latin-1"))
+        code, _, err = run_cli(["fit", "--data", str(path), "--response", "y",
+                                "--tau", "0.5", "--method", "rq"], capsys)
+        assert code == 3
+        assert str(path) in err and "UTF-8" in err
+
     def test_version_flag(self, capsys):
         assert exit_code(["--version"]) == 0
         assert __version__ in capsys.readouterr().out

@@ -159,6 +159,14 @@ class TestGenerators:
         with pytest.raises(DataError):
             SynthConfig(n=10, seed=1, kind="cauchy")
 
+    @pytest.mark.parametrize("seed", [-3, 2 ** 128])
+    def test_seed_outside_philox_key_range(self, seed):
+        with pytest.raises(DataError, match=r"seed must lie in \[0, 2\*\*128\)"):
+            SynthConfig(n=10, seed=seed)
+
+    def test_largest_seed_generates(self):
+        assert gen_hetero_normal(SynthConfig(n=10, seed=2 ** 128 - 1)).n_obs == 10
+
     def test_hetero_spread_ratio(self):
         # spread grows linearly in x; the fitted |residual| profile at the
         # range endpoints should recover (sigma0 + 10*sigma1)/sigma0 = 7

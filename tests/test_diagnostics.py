@@ -1,5 +1,7 @@
 """Count curves, event classification, suppression, crossing detection."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,21 @@ class TestCountBelow:
         coefs = fit_grid(data, TauGrid.from_count(19), "rq").coefficients
         per_plane = [int((data.y < data.predict(b)).sum()) for b in coefs]
         assert count_below(data, coefs).tolist() == per_plane
+
+    def test_stack_counts_in_bounded_memory(self):
+        # the whole 999 x 20000 prediction block would take 152 MiB; the
+        # stack is predicted in blocks, each plane still by its own product
+        rng = np.random.default_rng(3)
+        data = Dataset.from_predictors(rng.normal(size=(20000, 3)), rng.normal(size=20000))
+        stack = 0.3 * rng.normal(size=(999, 4))
+        tracemalloc.start()
+        try:
+            counts = count_below(data, stack)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2 ** 20
+        assert counts.tolist() == [int((data.y < data.predict(b)).sum()) for b in stack]
 
     def test_wrong_stack_shape_rejected(self):
         d = Dataset(X=np.ones((3, 1)), y=[1.0, 2.0, 3.0])

@@ -24,8 +24,9 @@ from smoothrq import (
 )
 from smoothrq import estimators
 from smoothrq.datagen import KIND_HETERO_NORMAL, KIND_PARETO, gen_pareto
+from smoothrq.estimators import FIT_GRAD_RTOL, SMOOTH_PRESETS
 from smoothrq.losses import _pinball
-from smoothrq.optim import CONVERGED, DEGENERATE_MULTIPLE
+from smoothrq.optim import CONVERGED, DEGENERATE_MULTIPLE, ITERATION_CAP, SolveReport
 
 # root of sum tanh(10 (y_i - b)) = 0 for y = [1, 2, 4], from a bisection
 # oracle run at 50-digit precision
@@ -160,6 +161,30 @@ class TestFitSmooth:
         cold = fit_smooth(data, 0.5)
         warm = fit_smooth(data, 0.5, init=[3.9])
         assert warm.beta[0] == pytest.approx(cold.beta[0], abs=1e-6)
+
+    @pytest.mark.parametrize("ratio", [0.99, 1.01])
+    def test_unconverged_solver_judged_at_fit_tolerance(self, monkeypatch, ratio):
+        # ||beta||_inf = 3, so the fit accepts |grad| up to 3e-6
+        beta = np.array([2.0, -3.0])
+        grad_norm = ratio * FIT_GRAD_RTOL * 3.0
+
+        def capped(fun_and_grad, x0):
+            return SolveReport(x=beta.copy(), fun=1.0, iterations=500,
+                               status=ITERATION_CAP, grad_norm=grad_norm)
+
+        monkeypatch.setattr(estimators, "minimize_qn", capped)
+        data = line_dataset([0.0, 1.0, 2.0], [1.0, 3.0, 5.0])
+        if ratio > 1.0:
+            with pytest.raises(SolverError, match=r"smooth fit stalled at tau=0\.3: "
+                                                  r"status=iteration-cap, \|grad\|=3\.030e-06 "
+                                                  r"> 3\.000e-06 after 500 iterations"):
+                fit_smooth(data, 0.3)
+            return
+        fit = fit_smooth(data, 0.3)
+        assert fit.report.status == CONVERGED
+        assert fit.report.message == ("solver stopped with status 'iteration-cap' at "
+                                      "|grad|=2.970e-06; accepted at fit tolerance 3.0e-06")
+        assert fit.beta.tolist() == [2.0, -3.0]
 
 
 class TestFitRqLp:
@@ -497,6 +522,33 @@ class TestFitGrid:
     def test_rq_grid_statuses_recorded(self):
         out = fit_grid(intercept_only([1.0, 2.0]), [0.5], "rq")
         assert out.statuses == [DEGENERATE_MULTIPLE]
+
+
+class TestSmoothGridWork:
+    def test_pareto_smrq_grid_fits_every_level(self):
+        # Armijo-only line searches left tau=0.29 at the iteration cap here,
+        # 4% above the fit tolerance
+        data = gen_pareto(SynthConfig(400, 20460819, kind=KIND_PARETO))
+        result = fit_grid(data, TauGrid.from_count(99), "smrq")
+        assert result.statuses == [CONVERGED] * 99
+        for tau, beta in zip(result.taus, result.coefficients):
+            _, g = loss_and_grad(data, beta, tau, SMOOTH_PRESETS["smrq"])
+            assert np.abs(g).max() <= FIT_GRAD_RTOL * max(1.0, np.abs(beta).max())
+
+    def test_srq_grid_objective_evaluations(self, monkeypatch):
+        # Wolfe steps take 2,674 evaluations here; accepting the first step
+        # that passes the decrease test alone took 10,185
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return loss_and_grad(*args)
+
+        monkeypatch.setattr(estimators, "loss_and_grad", counted)
+        data = gen_hetero_normal(SynthConfig(n=400, seed=20660819))
+        result = fit_grid(data, TauGrid.from_count(99), "srq")
+        assert result.statuses == [CONVERGED] * 99
+        assert len(calls) <= 5000
 
 
 class TestObjectiveConsistency:

@@ -1,4 +1,4 @@
-"""Import hygiene: every export resolves and every imported name is used."""
+"""Import hygiene: every export resolves, every imported name and private constant is used."""
 
 import ast
 import importlib
@@ -35,3 +35,23 @@ def test_no_unused_imports(path):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     # a package re-exports what it imports through __all__
     assert sorted(imported - read - set(load(path).__all__)) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_private_constants_are_read(path):
+    # a module-level _NAME nobody reads is left over from deleted code
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assigned = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:  # tuple targets such as `_A, _B = 1, 2` included
+            assigned.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name)
+                            and n.id.startswith("_") and not n.id.startswith("__"))
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert sorted(assigned - read) == []

@@ -242,7 +242,9 @@ class TestMinimizeQN:
 
     def test_flat_tail_traversal(self):
         # exactly linear until |x| nears the minimum at 1e4: fixed-size steps
-        # would need ~1e4 iterations, the forward step growth needs far fewer
+        # would need ~1e4 iterations.  A linear stretch never meets the Wolfe
+        # curvature test, so the line search doubles the step until it
+        # overshoots the minimum, then bisects back
         def fg(x):
             z = x[0] - 1e4
             f = abs(z) if abs(z) > 1.0 else 0.5 * (z * z + 1.0)
@@ -253,6 +255,33 @@ class TestMinimizeQN:
         assert rep.status == CONVERGED
         assert rep.x[0] == pytest.approx(1e4, rel=1e-6)
         assert rep.iterations < 100
+
+    def test_uphill_gradient_stalls_the_line_search(self):
+        # the reported gradient has the wrong sign, so f rises along every
+        # trial step; even the 80th, 2**-79 long, rises by far more than the
+        # float-noise allowance
+        rep = minimize_qn(lambda x: (1e12 * float(x[0]), np.array([-1e12])), [0.0])
+        assert rep.status == ITERATION_CAP
+        assert rep.message == "line search stalled"
+        assert rep.iterations == 0
+        assert rep.x.tolist() == [0.0]
+
+    def test_nan_away_from_the_start_raises(self):
+        def fg(x):
+            if x[0] == 0.0:
+                return 9.0, np.array([-6.0])
+            return np.nan, np.array([np.nan])
+
+        with pytest.raises(SolverError, match="non-finite during line search at iteration 0"):
+            minimize_qn(fg, [0.0])
+
+    def test_nan_gradient_at_an_accepted_step_raises(self):
+        def fg(x):
+            g = 2.0 * (x[0] - 3.0) if x[0] == 0.0 else np.nan
+            return float((x[0] - 3.0) ** 2), np.array([g])
+
+        with pytest.raises(SolverError, match="gradient became non-finite at iteration 0"):
+            minimize_qn(fg, [0.0])
 
 
 class TestSimplex:

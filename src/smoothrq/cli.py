@@ -385,6 +385,10 @@ def run_bench(kind: str, sizes: list[int], replicates: int, seed: int,
 def cmd_bench(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     started = time.perf_counter()
     kind = KIND_HETERO_NORMAL if args.kind == "normal" else KIND_PARETO
+    last = args.seed + 100000 * (len(args.sizes) - 1) + args.replicates - 1
+    if last >= 2 ** 128:  # run_bench's largest replicate seed, checked before any fit
+        parser.error(f"--seed {args.seed} derives replicate seeds up to {last}, "
+                     "past the largest generator seed 2**128 - 1")
     out = _out_dir(args, parser)
 
     table = run_bench(kind, args.sizes, args.replicates, args.seed, args.methods)

@@ -293,7 +293,7 @@ def fit_rq_lp(data: Dataset, tau: float) -> QuantileFit:
             f"tableau; the dense simplex is limited to {_MAX_TABLEAU_MB} MiB")
     # min-norm least squares, so a rank-deficient design still has a start
     start = np.linalg.lstsq(data.X, data.y, rcond=None)[0]
-    A = np.zeros((n, 2 * n + 2 * p))
+    A = np.zeros((n, 2 * n + 2 * p), order="F")  # the tableau's layout
     A[:, :p] = data.X
     A[:, p:2 * p] = -data.X
     rows = np.arange(n)

@@ -163,4 +163,4 @@ def loss_and_grad(data: Dataset, beta, tau, params: FlexCheckParams = SRQ):
     if not np.isfinite(r).all():
         raise ValueError("residuals must be finite")
     f, deriv = _smooth_terms(r, tau, params)
-    return float(np.sum(f)), -(data.X.T @ deriv)
+    return float(f.sum()), -(data.X.T @ deriv)

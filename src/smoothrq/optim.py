@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dger
 
 __all__ = [
     "SolverError",
@@ -220,7 +219,8 @@ def solve_lp_simplex(problem: LPProblem) -> SolveReport:
     c = problem.c
     m, n = problem.A.shape
     # the tableau carries the rhs in its last column; Fortran order, so the
-    # columns a pivot gathers are contiguous and dger updates them in place
+    # columns a pivot gathers come out Fortran-ordered and their transpose is
+    # C-contiguous for the rank-1 update
     T = np.empty((m, n + 1), order="F")
     T[:, :n] = problem.A
     T[:, n] = problem.b
@@ -248,6 +248,7 @@ def solve_lp_simplex(problem: LPProblem) -> SolveReport:
     enter_tol = 1e-9 * cost_scale
     fac = np.empty(m)
     ratios = np.empty(m)
+    work = np.empty((0, m))  # row_j * fac_i for the touched columns, grown on demand
     it = 0
     while it < 200 + 50 * (m + n):
         eligible = np.nonzero(z < -enter_tol)[0]
@@ -263,16 +264,20 @@ def solve_lp_simplex(problem: LPProblem) -> SolveReport:
         rmin = ratios.min()
         ties = np.nonzero(ratios <= rmin + 1e-12 * (1.0 + abs(rmin)))[0]
         r = int(ties[np.argmin(basis[ties])])  # Bland: lowest basic index leaves
-        # a column with a zero in the pivot row would only have +-0 added, so
-        # the pivot touches only the row's nonzero columns (q among them) with
-        # the same arithmetic the whole tableau would get
+        # entry (i, j) loses row_j * fac_i, so a column with a zero in the pivot
+        # row would only lose +-0: the pivot touches only the row's nonzero
+        # columns (q among them), with the arithmetic the whole tableau would get
         nz = T[r].nonzero()[0]
         touched = T[:, nz]
         touched[r] /= T[r, q]
         row = touched[r].copy()
         fac[:] = T[:, q]
         fac[r] = 0.0
-        T[:, nz] = dger(-1.0, fac, row, a=touched, overwrite_a=1)
+        if work.shape[0] < nz.size:
+            work = np.empty((nz.size, m))
+        outer = np.multiply.outer(row, fac, out=work[:nz.size])
+        np.subtract(touched.T, outer, out=touched.T)
+        T[:, nz] = touched
         k = nz.size - (int(nz[-1]) == n)  # the structural columns among nz
         z[nz[:k]] -= z[q] * row[:k]
         z[q] = 0.0

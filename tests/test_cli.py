@@ -122,10 +122,35 @@ class TestFlagValidation:
                           "--out", str(tmp_path / "b")]) == 2
         assert "seed must be nonnegative" in capsys.readouterr().err
         assert not (tmp_path / "b").exists()
-        code, _, err = run_cli(["bench", "--kind", "normal", "--sizes", "20",
-                                "--seed", str(2 ** 128), "--methods", "rq",
+        # a seed past the generator's range is refused with the flags, before
+        # the output directory exists
+        assert exit_code(["bench", "--kind", "normal", "--sizes", "20",
+                          "--seed", str(2 ** 128), "--methods", "rq",
+                          "--out", str(tmp_path / "b")]) == 2
+        assert f"--seed {2 ** 128} derives" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+
+    def test_largest_derived_seed_checked_before_any_fit(self, tmp_path, capsys, monkeypatch):
+        # replicate (i, j) uses seed + 100000*i + j; the n=20 row would need 2**128 + 99999
+        fitted = []
+        monkeypatch.setattr(cli, "fit_grid", lambda *args: fitted.append(args))
+        seed = 2 ** 128 - 1
+        assert exit_code(["bench", "--kind", "normal", "--sizes", "400,20",
+                          "--replicates", "1", "--seed", str(seed), "--methods", "rq",
+                          "--out", str(tmp_path / "b")]) == 2
+        assert f"--seed {seed} derives replicate seeds up to {seed + 100000}" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+        assert fitted == []
+
+    def test_largest_derived_seed_may_be_the_last_generator_seed(self, tmp_path, capsys):
+        seed = 2 ** 128 - 1 - 100000
+        code, _, err = run_cli(["bench", "--kind", "normal", "--sizes", "20,30",
+                                "--replicates", "1", "--seed", str(seed), "--methods", "rq",
                                 "--out", str(tmp_path / "b")], capsys)
-        assert code == 3 and "seed must lie in [0, 2**128)" in err
+        assert code == 0, err
+        manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
+        assert manifest["seeds"] == [seed, 2 ** 128 - 1]
 
     def test_non_utf8_csv_exits_3(self, tmp_path, capsys):
         path = tmp_path / "latin1.csv"

@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -55,3 +58,25 @@ def test_private_constants_are_read(path):
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     assert sorted(assigned - read) == []
+
+
+def test_runtime_never_imports_scipy(tmp_path):
+    # scipy is the tests' HiGHS oracle only; a lazy import anywhere in the
+    # CLI's paths would move its start-up cost into the first solve
+    out = str(tmp_path)
+    commands = [
+        ["grid", "--data", "anscombe", "--grid", "99", "--methods", "rq,srq,smrq,rrq",
+         "--suppress", "--svg", "--out", f"{out}/grid"],
+        ["grid", "--data", "anscombe", "--grid", "99", "--methods", "rq,flex",
+         "--c", "5", "--h", "0", "--s", "0.5", "--v", "0", "--out", f"{out}/flex"],
+        ["fit", "--data", "anscombe", "--tau", "0.5", "--method", "rq"],
+        ["bench", "--kind", "normal", "--sizes", "20", "--replicates", "1", "--seed", "1",
+         "--methods", "rq,rrq,srq,smrq", "--out", f"{out}/bench"],
+    ]
+    code = (f"import json, sys; sys.path.insert(0, {str(SOURCES[0].parent.parent)!r})\n"
+            "from smoothrq import cli\n"
+            f"codes = [cli.main(argv) for argv in {commands!r}]\n"
+            "print(json.dumps([codes, 'scipy' in sys.modules]))\n")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout.splitlines()[-1]) == [[0, 0, 0, 0], False]

@@ -1,6 +1,7 @@
 """Solver behavior: quasi-Newton descent, slack-basis simplex, the quantile LP's start."""
 
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -37,11 +38,21 @@ def slack_form(rng, m, k):
     return A, b
 
 
-def dense_reference_simplex(problem):
+def numpy_rank1(T, fac, row):
+    """T -= fac row': each product rounded, then subtracted, as solve_lp_simplex does."""
+    T -= np.multiply.outer(fac, row)
+
+
+def dger_rank1(T, fac, row):
+    """T += -fac row' by BLAS dger, which may fuse each multiply-add."""
+    dger(-1.0, fac, row, a=T, overwrite_a=1)
+
+
+def dense_reference_simplex(problem, rank1=numpy_rank1):
     """The full-tableau simplex that the column-sparse pivots replaced.
 
-    Every pivot scales the whole pivot row and runs dger over the whole
-    tableau, and the slack basis is found one column at a time.
+    Every pivot scales the whole pivot row and runs the rank-1 update over
+    the whole tableau, and the slack basis is found one column at a time.
     """
     c = problem.c
     m, n = problem.A.shape
@@ -86,7 +97,7 @@ def dense_reference_simplex(problem):
         fac[:] = T[:, q]
         fac[r] = 0.0
         row[:] = T[r]
-        dger(-1.0, fac, row, a=T, overwrite_a=1)
+        rank1(T, fac, row)
         z -= z[q] * row[:-1]
         z[q] = 0.0
         basis[r] = q
@@ -467,6 +478,42 @@ class TestMatchesDenseReference:
 
     def test_beale_cycling_instance(self):
         assert_same_solve(beale_problem())
+
+
+class TestMatchesDgerArithmetic:
+    """The numpy rank-1 update gives every plane the BLAS dger update gave.
+
+    dger may fuse each multiply-add where numpy rounds the product first, so
+    the two tableaus can differ in their last bits.  fit_rq_lp solves each
+    plane again from the rows it interpolates, so coefficients, statuses and
+    pivot counts must not differ.
+    """
+
+    @pytest.mark.parametrize("make", [m for _, m in QUANTILE_DATA[:5]],
+                             ids=[n for n, _ in QUANTILE_DATA[:5]])
+    def test_rq_grid(self, make, monkeypatch):
+        data = make()
+        grid = TauGrid.from_count(99)
+        fits = [fit_rq_lp(data, tau) for tau in grid]
+        monkeypatch.setattr(estimators, "solve_lp_simplex",
+                            partial(dense_reference_simplex, rank1=dger_rank1))
+        for tau, fit in zip(grid, fits):
+            ref = fit_rq_lp(data, tau)
+            assert text(fit.beta) == text(ref.beta), tau
+            assert fit.report.status == ref.report.status, tau
+            assert fit.report.iterations == ref.report.iterations, tau
+
+    def test_rrq_family_n1000(self, monkeypatch):
+        data = gen_hetero_normal(SynthConfig(n=1000, seed=33, kind=KIND_HETERO_NORMAL))
+        grid = TauGrid.from_count(499)
+        model = fit_rrq(data, grid)
+        monkeypatch.setattr(estimators, "solve_lp_simplex",
+                            partial(dense_reference_simplex, rank1=dger_rank1))
+        ref = fit_rrq(data, grid)
+        assert [text(b) for b in model.planes()] == [text(b) for b in ref.planes()]
+        assert model.status == ref.status
+        assert model.med_report.iterations == ref.med_report.iterations
+        assert model.scale_report.iterations == ref.scale_report.iterations
 
 
 def collinear_data(n, slope, icept):

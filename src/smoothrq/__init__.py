@@ -53,12 +53,10 @@ from .losses import (
     FlexCheckParams,
     check_classic,
     check_smooth,
-    check_smooth_deriv,
     classic_total,
     grad_total,
     loss_and_grad,
     loss_total,
-    smoothing_gap,
 )
 from .optim import (
     LPProblem,
@@ -78,8 +76,7 @@ __all__ = [
     "load_swiss", "write_csv",
     # losses
     "FlexCheckParams", "SRQ", "SMRQ", "check_classic", "check_smooth",
-    "check_smooth_deriv", "classic_total", "grad_total", "loss_and_grad", "loss_total",
-    "smoothing_gap",
+    "classic_total", "grad_total", "loss_and_grad", "loss_total",
     # optimizers
     "LPProblem", "SolveReport", "SolverError", "minimize_qn",
     "solve_lp_simplex",

@@ -52,6 +52,11 @@ _BETA0, _BETA1 = 1.0, 2.0
 _SIGMA0, _SIGMA1 = 0.5, 0.3
 _PARETO_ALPHA = 2.5
 
+# SynthConfig refuses more observations than this, about 100 times the
+# largest size in use (n = 10**5); gen_hetero_normal peaks at about 81 bytes
+# per row, so the limit costs about 0.8 GB
+_MAX_N = 10_000_000
+
 
 class DataError(ValueError):
     """Raised for malformed input data: bad CSV cells, shape problems, etc."""
@@ -206,7 +211,8 @@ def dataset_fingerprint(dataset: Dataset) -> dict:
 class SynthConfig:
     """Size, seed and noise family of one synthetic dataset.
 
-    The seed keys a Philox generator, so it must lie in [0, 2**128).
+    n must lie in [3, 10**7].  The seed keys a Philox generator, so it must
+    lie in [0, 2**128).
 
     Both families share the line y = 1 + 2x with x uniform on [0, 10).
     kind "hetero-normal" adds (0.5 + 0.3x)*z with z standard normal, and
@@ -220,6 +226,8 @@ class SynthConfig:
     def __post_init__(self):
         if self.n < 3:
             raise DataError(f"need at least 3 observations, got n={self.n}")
+        if self.n > _MAX_N:
+            raise DataError(f"n={self.n} is past the limit of {_MAX_N} observations")
         if not 0 <= self.seed < 2 ** 128:
             raise DataError(f"seed must lie in [0, 2**128), got {self.seed}")
         if self.kind not in (KIND_HETERO_NORMAL, KIND_PARETO):

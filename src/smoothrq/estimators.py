@@ -17,7 +17,7 @@ Three routes to a fitted plane at level tau:
   out crossings whenever the fitted scales are positive.
 
 All estimators expect the Dataset convention of an explicit trailing
-intercept column and start smooth fits from the zero vector by default.
+intercept column and start smooth fits from the zero vector.
 """
 
 from __future__ import annotations
@@ -175,18 +175,14 @@ class RRQModel:
         return self.med_report.status
 
 
-def fit_smooth(data: Dataset, tau: float, params: FlexCheckParams = SRQ,
-               init=None) -> QuantileFit:
+def fit_smooth(data: Dataset, tau: float, params: FlexCheckParams = SRQ) -> QuantileFit:
     """Minimize the smooth check loss at one level.
 
-    Starts from the zero vector unless init is given.  The result must pass
-    the gradient test ||grad||_inf <= 1e-6 * max(1, ||beta||_inf); otherwise
-    SolverError carries the diagnostics.
+    Starts from the zero vector.  The result must pass the gradient test
+    ||grad||_inf <= 1e-6 * max(1, ||beta||_inf); otherwise SolverError
+    carries the diagnostics.
     """
-    x0 = np.zeros(data.n_coef) if init is None else np.asarray(init, dtype=float)
-    if x0.shape != (data.n_coef,):
-        raise ValueError(f"init has shape {x0.shape}, expected ({data.n_coef},)")
-    report = minimize_qn(lambda b: loss_and_grad(data, b, tau, params), x0)
+    report = minimize_qn(lambda b: loss_and_grad(data, b, tau, params), np.zeros(data.n_coef))
     tol = FIT_GRAD_RTOL * max(1.0, float(np.abs(report.x).max()))
     if report.status != CONVERGED:
         if report.grad_norm > tol:

@@ -15,6 +15,11 @@ h = 0, s = 1/2, v = 0 the two differ by at most log(2) / (2 c) everywhere,
 so large c makes the smooth loss an arbitrarily tight upper-bounded-error
 stand-in for the pinball loss while keeping gradients exact.
 
+The kernel evaluates log cosh z as |z| - log 2 + log1p(exp(-2|z|)), which
+is exact up to rounding and cannot overflow for any z.  The derivative
+tanh(c (r - h)) / 2 + (tau - s) runs from tau - 1 to tau when s = 1/2, the
+subgradient range of the pinball loss.
+
 Everything here is pure and stateless; functions accept scalars or arrays.
 """
 
@@ -32,17 +37,11 @@ __all__ = [
     "SMRQ",
     "check_classic",
     "check_smooth",
-    "check_smooth_deriv",
     "classic_total",
     "loss_total",
     "grad_total",
     "loss_and_grad",
-    "smoothing_gap",
 ]
-
-# above this |z|, cosh(z) overflows long before log needs it; switch to the
-# asymptotic form |z| - log 2 + log1p(exp(-2|z|)) which is exact to machine eps
-_LOGCOSH_CUTOVER = 30.0
 
 
 @dataclass(frozen=True)
@@ -73,11 +72,6 @@ SRQ = FlexCheckParams(c=10.0)
 SMRQ = FlexCheckParams(c=0.7, v=0.4)
 
 
-def smoothing_gap(params: FlexCheckParams) -> float:
-    """Worst-case |smooth - classic| for an untilted, unshifted parameter set."""
-    return np.log(2.0) / (2.0 * params.c)
-
-
 def _as_residuals(r):
     arr = np.asarray(r, dtype=float)
     if not np.isfinite(arr).all():
@@ -98,20 +92,12 @@ def _maybe_scalar(out: np.ndarray, like) -> float | np.ndarray:
     return out
 
 
-def _log_cosh(z: np.ndarray) -> np.ndarray:
-    az = np.abs(z)
-    out = np.empty_like(az)
-    small = az <= _LOGCOSH_CUTOVER
-    out[small] = np.log(np.cosh(az[small]))
-    big = ~small
-    out[big] = az[big] - np.log(2.0) + np.log1p(np.exp(-2.0 * az[big]))
-    return out
-
-
 def _smooth_terms(r: np.ndarray, tau: float, params: FlexCheckParams):
     """F(r) and F'(r) of the smooth check loss; tau checked, r finite floats."""
     z = params.c * (r - params.h)
-    f = _log_cosh(z) / (2.0 * params.c) + (tau - params.s) * r + params.v
+    az = np.abs(z)
+    log_cosh = az - np.log(2.0) + np.log1p(np.exp(-2.0 * az))
+    f = log_cosh / (2.0 * params.c) + (tau - params.s) * r + params.v
     return f, 0.5 * np.tanh(z) + (tau - params.s)
 
 
@@ -129,16 +115,6 @@ def check_smooth(r, tau, params: FlexCheckParams = SRQ):
     """Smooth check loss F(r, tau) = logcosh(c (r - h)) / (2 c) + (tau - s) r + v."""
     tau = _check_tau(tau)
     return _maybe_scalar(_smooth_terms(_as_residuals(r), tau, params)[0], r)
-
-
-def check_smooth_deriv(r, tau, params: FlexCheckParams = SRQ):
-    """d/dr of check_smooth: tanh(c (r - h)) / 2 + (tau - s).
-
-    With s = 1/2 and h = 0 this runs from tau - 1 to tau as r sweeps the real
-    line, matching the subgradient range of the pinball loss.
-    """
-    tau = _check_tau(tau)
-    return _maybe_scalar(_smooth_terms(_as_residuals(r), tau, params)[1], r)
 
 
 def classic_total(data: Dataset, beta, tau) -> float:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import smoothrq.cli as cli
-from smoothrq import SolverError, __version__, estimators
+from smoothrq import SolverError, SynthConfig, __version__, estimators, gen_hetero_normal
 from smoothrq.cli import entrypoint, run_bench
 from smoothrq.diagnostics import GridResult
 from smoothrq.estimators import TauGrid
@@ -93,6 +93,30 @@ class TestFlagValidation:
                           "--out", str(tmp_path / "b")]) == 2
         assert "choose from rq, srq, smrq, rrq\n" in capsys.readouterr().err
         assert not (tmp_path / "b").exists()
+
+    def test_bench_size_limit(self, tmp_path, capsys, monkeypatch):
+        # 10**7 rows reach the generator, stubbed here so that no data is
+        # allocated; one row more exits 2 before --out exists or any fit runs
+        asked = []
+
+        def stub(config):
+            asked.append(config.n)
+            return gen_hetero_normal(SynthConfig(n=20, seed=config.seed))
+
+        monkeypatch.setattr(cli, "gen_hetero_normal", stub)
+        code, _, err = run_cli(["bench", "--kind", "normal", "--sizes", "10000000",
+                                "--replicates", "1", "--seed", "1", "--methods", "rq",
+                                "--out", str(tmp_path / "a")], capsys)
+        assert code == 0, err
+        assert asked == [10_000_000]
+        fitted = []
+        monkeypatch.setattr(cli, "fit_grid", lambda *args: fitted.append(args))
+        assert exit_code(["bench", "--kind", "normal", "--sizes", "20,10000001",
+                          "--replicates", "1", "--seed", "1", "--methods", "rq",
+                          "--out", str(tmp_path / "b")]) == 2
+        assert "limit of 10000000 observations" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+        assert asked == [10_000_000] and fitted == []
 
     def test_bench_sizes_too_small(self, tmp_path):
         assert exit_code(["bench", "--kind", "normal", "--sizes", "2",
@@ -335,10 +359,10 @@ class TestGrid:
         # that family to the diagnostics
         real = estimators.fit_smooth
 
-        def flaky(data, tau, params=estimators.SRQ, init=None):
+        def flaky(data, tau, params=estimators.SRQ):
             if tau == 0.5:
                 raise SolverError("synthetic failure for the error path")
-            return real(data, tau, params=params, init=init)
+            return real(data, tau, params=params)
 
         def no_suppression(result, report):
             raise AssertionError("suppress_events called on a failed family")

@@ -1,6 +1,7 @@
 """Dataset container, CSV ingestion, synthetic generators, bundled data."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -158,6 +159,19 @@ class TestGenerators:
             SynthConfig(n=2, seed=1)
         with pytest.raises(DataError):
             SynthConfig(n=10, seed=1, kind="cauchy")
+
+    def test_size_limit_refused_before_allocating(self):
+        # 10**7 rows is the largest accepted size and one more is refused,
+        # naming the limit; a config allocates no data either way
+        tracemalloc.start()
+        try:
+            assert SynthConfig(n=10_000_000, seed=1).n == 10_000_000
+            with pytest.raises(DataError, match="limit of 10000000 observations"):
+                SynthConfig(n=10_000_001, seed=1, kind=KIND_PARETO)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("seed", [-3, 2 ** 128])
     def test_seed_outside_philox_key_range(self, seed):

@@ -148,19 +148,9 @@ class TestFitSmooth:
             tol = 1e-6 * max(1.0, float(np.abs(fit.beta).max()))
             assert float(np.abs(g).max()) <= tol
 
-    def test_init_shape_rejected(self):
-        with pytest.raises(ValueError, match="init has shape"):
-            fit_smooth(intercept_only([1.0, 2.0, 4.0]), 0.5, init=[1.0, 2.0])
-
     def test_bad_tau_rejected(self):
         with pytest.raises(ValueError, match="strictly inside"):
             fit_smooth(intercept_only([1.0, 2.0, 4.0]), 0.0)
-
-    def test_init_does_not_change_answer(self):
-        data = intercept_only([1.0, 2.0, 4.0])
-        cold = fit_smooth(data, 0.5)
-        warm = fit_smooth(data, 0.5, init=[3.9])
-        assert warm.beta[0] == pytest.approx(cold.beta[0], abs=1e-6)
 
     @pytest.mark.parametrize("ratio", [0.99, 1.01])
     def test_unconverged_solver_judged_at_fit_tolerance(self, monkeypatch, ratio):
@@ -495,10 +485,10 @@ class TestFitGrid:
     def test_failed_level_recorded(self, monkeypatch):
         real = estimators.fit_smooth
 
-        def flaky(data, tau, params=estimators.SRQ, init=None):
+        def flaky(data, tau, params=estimators.SRQ):
             if tau == 0.5:
                 raise SolverError("synthetic failure for the error path")
-            return real(data, tau, params=params, init=init)
+            return real(data, tau, params=params)
 
         monkeypatch.setattr(estimators, "fit_smooth", flaky)
         data = line_dataset([0.0, 1.0, 2.0], [1.0, 3.0, 5.5])

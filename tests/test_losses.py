@@ -4,6 +4,7 @@ Non-trivial expected values below were computed independently with mpmath at
 50 significant digits and frozen as literals.
 """
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,13 +13,14 @@ from smoothrq import (
     SRQ,
     Dataset,
     FlexCheckParams,
+    SynthConfig,
     check_classic,
     check_smooth,
-    check_smooth_deriv,
+    gen_hetero_normal,
     grad_total,
+    load_swiss,
     loss_and_grad,
     loss_total,
-    smoothing_gap,
 )
 
 # mpmath, 50 dps: log(cosh(10))/20 + 0.25
@@ -91,7 +93,6 @@ class TestCheckSmooth:
         for tau in (0.1, 0.5, 0.9):
             gap = np.abs(check_smooth(r, tau, SRQ) - check_classic(r, tau))
             assert gap.max() <= LOG2_OVER_20 + 1e-12
-        assert smoothing_gap(SRQ) == pytest.approx(LOG2_OVER_20, rel=1e-15)
 
     def test_strict_convexity_sampled(self):
         # midpoint below the chord on random triples; strictness is asserted
@@ -118,19 +119,30 @@ class TestCheckSmooth:
         assert strict_checked > 100
 
 
+def _tiny_dataset(y):
+    y = np.asarray(y, dtype=float)
+    return Dataset(X=np.ones((y.size, 1)), y=y, column_names=("intercept",))
+
+
+def _deriv(r, tau, params):
+    # F'(r) through grad_total: one row y = r at intercept b = 0 has
+    # residual r and gradient -F'(r)
+    return -grad_total(_tiny_dataset([r]), [0.0], tau, params)[0]
+
+
 class TestCheckSmoothDeriv:
     def test_zero_cases(self):
-        assert check_smooth_deriv(0.0, 0.5, SRQ) == 0.0
-        assert check_smooth_deriv(0.0, 0.7, SRQ) == pytest.approx(0.2, abs=1e-15)
+        assert _deriv(0.0, 0.5, SRQ) == 0.0
+        assert _deriv(0.0, 0.7, SRQ) == pytest.approx(0.2, abs=1e-15)
 
     def test_tanh_value(self):
-        assert check_smooth_deriv(0.1, 0.5, SRQ) == pytest.approx(HALF_TANH_1, rel=1e-14)
+        assert _deriv(0.1, 0.5, SRQ) == pytest.approx(HALF_TANH_1, rel=1e-14)
 
     def test_monotone_and_bounded(self):
         r = np.linspace(-50, 50, 2001)
         for tau, s in ((0.2, 0.5), (0.5, 0.0), (0.8, 1.0)):
             p = FlexCheckParams(c=2.0, s=s)
-            d = check_smooth_deriv(r, tau, p)
+            d = np.array([_deriv(ri, tau, p) for ri in r])
             assert (np.diff(d) >= 0).all()
             assert d.min() > tau - s - 0.5 - 1e-12
             assert d.max() < tau - s + 0.5 + 1e-12
@@ -144,16 +156,69 @@ class TestCheckSmoothDeriv:
             p = FlexCheckParams(c=rng.uniform(0.5, 11.0), h=rng.uniform(-0.5, 0.5),
                                 s=rng.uniform(0.0, 1.0), v=rng.uniform(-1.0, 1.0))
             num = (check_smooth(r + step, tau, p) - check_smooth(r - step, tau, p)) / (2 * step)
-            assert check_smooth_deriv(r, tau, p) == pytest.approx(num, abs=1e-8)
+            assert _deriv(r, tau, p) == pytest.approx(num, abs=1e-8)
 
     def test_asymptotic_slopes(self):
-        assert check_smooth_deriv(1e4, 0.85, SRQ) == pytest.approx(0.85, abs=1e-12)
-        assert check_smooth_deriv(-1e4, 0.85, SRQ) == pytest.approx(-0.15, abs=1e-12)
+        assert _deriv(1e4, 0.85, SRQ) == pytest.approx(0.85, abs=1e-12)
+        assert _deriv(-1e4, 0.85, SRQ) == pytest.approx(-0.15, abs=1e-12)
 
 
-def _tiny_dataset(y):
-    y = np.asarray(y, dtype=float)
-    return Dataset(X=np.ones((y.size, 1)), y=y, column_names=("intercept",))
+def _masked_log_cosh(z):
+    # the two-branch kernel the package used before: log(cosh z) up to
+    # |z| = 30, the asymptotic form past it; kept as the reference
+    az = np.abs(z)
+    out = np.empty_like(az)
+    small = az <= 30.0
+    out[small] = np.log(np.cosh(az[small]))
+    big = ~small
+    out[big] = az[big] - np.log(2.0) + np.log1p(np.exp(-2.0 * az[big]))
+    return out
+
+
+def _reference_loss_and_grad(data, beta, tau, params):
+    r = data.residuals(beta)
+    z = params.c * (r - params.h)
+    f = _masked_log_cosh(z) / (2.0 * params.c) + (tau - params.s) * r + params.v
+    return float(f.sum()), -(data.X.T @ (0.5 * np.tanh(z) + (tau - params.s)))
+
+
+class TestKernelAgainstMaskedReference:
+    @pytest.mark.parametrize("data", [
+        load_swiss(),
+        gen_hetero_normal(SynthConfig(n=400, seed=20260819)),
+        gen_hetero_normal(SynthConfig(n=100_000, seed=5)),
+    ], ids=["swiss", "hetero-n400", "hetero-n1e5"])
+    @pytest.mark.parametrize("params", [SRQ, SMRQ, FlexCheckParams(c=3.0, h=0.4, s=0.3, v=0.1)],
+                             ids=["srq", "smrq", "flex"])
+    def test_gradient_bits_and_objective(self, data, params):
+        rng = np.random.default_rng(17)
+        beta_ls = np.linalg.lstsq(data.X, data.y, rcond=None)[0]
+        for k in range(20):
+            # the least-squares plane, then ever larger moves off it, so the
+            # residuals fall on both sides of the old |z| = 30 cutover
+            beta = beta_ls + rng.normal(scale=0.2 * k, size=data.n_coef)
+            tau = rng.uniform(0.02, 0.98)
+            f, g = loss_and_grad(data, beta, tau, params)
+            f_ref, g_ref = _reference_loss_and_grad(data, beta, tau, params)
+            assert np.array_equal(g, g_ref)
+            assert abs(f - f_ref) <= 1e-15 * abs(f_ref)
+
+    @pytest.mark.parametrize("kernel", ["check_smooth", "masked"])
+    def test_log_cosh_accuracy_against_mpmath(self, kernel):
+        # with c = 1 at tau = 1/2, 2 F(z) is log cosh z
+        grid = np.logspace(-10, np.log10(700.0), 300)
+        z = np.concatenate([[0.0, 29.9, 30.0, 30.1], grid])
+        z = np.concatenate([z, -z])
+        if kernel == "check_smooth":
+            got = 2.0 * check_smooth(z, 0.5, FlexCheckParams(c=1.0))
+        else:
+            got = _masked_log_cosh(z)
+        eps = np.finfo(float).eps
+        with mpmath.workdps(50):
+            for zi, gi in zip(z.tolist(), got.tolist()):
+                exact = mpmath.log(mpmath.cosh(mpmath.mpf(zi)))
+                err = abs(mpmath.mpf(gi) - exact)
+                assert err <= 2 * eps * (abs(zi) + np.log(2.0)), zi
 
 
 class TestDatasetSums:

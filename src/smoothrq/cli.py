@@ -25,7 +25,6 @@ import datetime
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
 
@@ -56,35 +55,22 @@ from .estimators import FAILED, METHODS, SMOOTH_PRESETS, TauGrid, fit_grid
 from .losses import SRQ, FlexCheckParams, classic_total, loss_total
 from .optim import SolverError
 
-__all__ = ["RunManifest", "build_parser", "main", "entrypoint", "run_bench"]
+__all__ = ["build_parser", "main", "entrypoint", "run_bench"]
 
 _BUILTINS = {"swiss": load_swiss, "anscombe": load_anscombe}
 
 # fixed palette so repeated runs color methods identically
 _COLORS = ("#1b6ca8", "#c23b22", "#2e7d32", "#8e44ad", "#e67e22", "#00838f")
+# SVG canvas width and height, then the plot box's left, right, top and bottom margins
+_W, _H, _ML, _MR, _MT, _MB = 720, 480, 60, 20, 24, 48
 
 
 # ---------------------------------------------------------------------------
 # manifest
 
-@dataclass
-class RunManifest:
-    """Everything needed to reproduce a run: flags, seeds, data identity."""
-
-    command: list[str]
-    config: dict
-    seeds: list[int]
-    datasets: list[dict]
-    version: str
-    wall_clock_utc: str
-    elapsed_seconds: float
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
-
-
 def _manifest(args: argparse.Namespace, seeds: list[int], datasets: list[dict],
-              started: float) -> RunManifest:
+              started: float) -> dict:
+    """Everything needed to reproduce a run: flags, seeds, data identity."""
     config = {}
     for key, value in sorted(vars(args).items()):
         if key == "func":
@@ -92,15 +78,15 @@ def _manifest(args: argparse.Namespace, seeds: list[int], datasets: list[dict],
         if isinstance(value, TauGrid):
             value = [float(t) for t in value.values]
         config[key] = list(value) if isinstance(value, (tuple, list)) else value
-    return RunManifest(
-        command=list(sys.argv),
-        config=config,
-        seeds=seeds,
-        datasets=datasets,
-        version=__version__,
-        wall_clock_utc=datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        elapsed_seconds=round(time.perf_counter() - started, 6),
-    )
+    return {
+        "command": list(sys.argv),
+        "config": config,
+        "seeds": seeds,
+        "datasets": datasets,
+        "version": __version__,
+        "wall_clock_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "elapsed_seconds": round(time.perf_counter() - started, 6),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +211,10 @@ def _write_tsv(path: Path, header: list[str], rows: list[list[str]]) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
+def _write_manifest(out: Path, manifest: dict) -> None:
+    _write_text(out / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
 # ---------------------------------------------------------------------------
 # fit
 
@@ -259,7 +249,7 @@ def cmd_fit(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
     manifest = _manifest(args, seeds=[], datasets=[dataset_fingerprint(data)],
                          started=started)
-    print("manifest: " + json.dumps(asdict(manifest), sort_keys=True))
+    print("manifest: " + json.dumps(manifest, sort_keys=True))
     return 0
 
 
@@ -277,11 +267,9 @@ def _grid_columns(args: argparse.Namespace, parser: argparse.ArgumentParser,
         if result.curve is not None:
             result.events = detect_events(result.curve)
         columns[method] = result
-        if args.suppress:
-            if result.curve is None:
-                columns[method + "-s"] = result
-            else:
-                columns[method + "-s"] = suppress_events(result, result.events)
+        if args.suppress:  # a family with a failed level has no curve to repair
+            columns[method + "-s"] = (result if result.curve is None
+                                      else suppress_events(result, result.events))
     return columns
 
 
@@ -333,9 +321,8 @@ def cmd_grid(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
     failures = [f"{name}: {status}" for name in names
                 for status in columns[name].statuses if status.startswith(FAILED)]
-    manifest = _manifest(args, seeds=[], datasets=[dataset_fingerprint(data)],
-                         started=started)
-    _write_text(out / "manifest.json", manifest.to_json())
+    _write_manifest(out, _manifest(args, seeds=[], datasets=[dataset_fingerprint(data)],
+                                   started=started))
 
     for name in names:
         events = columns[name].events
@@ -411,8 +398,7 @@ def cmd_bench(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
     seeds = [_replicate_seed(args.seed, i, j)
              for i in range(len(args.sizes)) for j in range(args.replicates)]
-    manifest = _manifest(args, seeds=seeds, datasets=[], started=started)
-    _write_text(out / "manifest.json", manifest.to_json())
+    _write_manifest(out, _manifest(args, seeds=seeds, datasets=[], started=started))
 
     print(f"wrote bench.tsv ({len(args.sizes)} sizes x {len(args.methods)} methods, "
           f"{args.replicates} replicates) to {out}")
@@ -422,45 +408,43 @@ def cmd_bench(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 # ---------------------------------------------------------------------------
 # SVG rendering (static 1.1, no external assets)
 
-def _svg_header(width: int, height: int) -> list[str]:
-    return [
+def _svg_frame(x_lo: float, x_hi: float, y_lo: float, y_hi: float):
+    """Opening elements and plot box of a figure, and its two axis maps to pixels."""
+    def sx(v):
+        return _ML + (v - x_lo) / max(x_hi - x_lo, 1e-12) * (_W - _ML - _MR)
+
+    def sy(v):
+        return _H - _MB - (v - y_lo) / max(y_hi - y_lo, 1e-12) * (_H - _MT - _MB)
+
+    parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'width="{_W}" height="{_H}" viewBox="0 0 {_W} {_H}">',
+        f'<rect width="{_W}" height="{_H}" fill="white"/>',
+        f'<rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" '
+        f'height="{_H - _MT - _MB}" fill="none" stroke="#444"/>',
     ]
+    return parts, sx, sy
 
 
 def _render_count_curves(curves: dict[str, CountCurve], n_obs: int) -> str:
     """Count curves over tau plus the dashed ideal line, one polyline each."""
-    W, H, ML, MR, MT, MB = 720, 480, 60, 20, 24, 48
     taus = next(iter(curves.values())).taus if curves else np.array([0.0, 1.0])
     t_lo, t_hi = float(taus[0]), float(taus[-1])
-
-    def sx(t):
-        return ML + (t - t_lo) / max(t_hi - t_lo, 1e-12) * (W - ML - MR)
-
-    def sy(c):
-        return H - MB - (c / max(n_obs, 1)) * (H - MT - MB)
-
-    parts = _svg_header(W, H)
-    parts.append(f'<rect x="{ML}" y="{MT}" width="{W - ML - MR}" '
-                 f'height="{H - MT - MB}" fill="none" stroke="#444"/>')
+    parts, sx, sy = _svg_frame(t_lo, t_hi, 0.0, float(n_obs))
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         t = t_lo + frac * (t_hi - t_lo)
         c = frac * n_obs
-        parts.append(f'<text x="{sx(t):.2f}" y="{H - MB + 16}" font-size="11" '
+        parts.append(f'<text x="{sx(t):.2f}" y="{_H - _MB + 16}" font-size="11" '
                      f'text-anchor="middle" fill="#222">{t:.2f}</text>')
-        parts.append(f'<text x="{ML - 6}" y="{sy(c) + 4:.2f}" font-size="11" '
+        parts.append(f'<text x="{_ML - 6}" y="{sy(c) + 4:.2f}" font-size="11" '
                      f'text-anchor="end" fill="#222">{c:.0f}</text>')
-    parts.append(f'<text x="{(ML + W - MR) / 2:.2f}" y="{H - 10}" font-size="12" '
+    parts.append(f'<text x="{(_ML + _W - _MR) / 2:.2f}" y="{_H - 10}" font-size="12" '
                  f'text-anchor="middle" fill="#222">tau</text>')
-    parts.append(f'<text x="14" y="{(MT + H - MB) / 2:.2f}" font-size="12" '
+    parts.append(f'<text x="14" y="{(_MT + _H - _MB) / 2:.2f}" font-size="12" '
                  f'text-anchor="middle" fill="#222" '
-                 f'transform="rotate(-90 14 {(MT + H - MB) / 2:.2f})">below count</text>')
-
-    (ix0, iy0), (ix1, iy1) = ((t_lo, 0.0), (t_hi, float(n_obs)))
-    parts.append(f'<line x1="{sx(ix0):.2f}" y1="{sy(iy0):.2f}" x2="{sx(ix1):.2f}" '
-                 f'y2="{sy(iy1):.2f}" stroke="#888" stroke-dasharray="5,4"/>')
+                 f'transform="rotate(-90 14 {(_MT + _H - _MB) / 2:.2f})">below count</text>')
+    parts.append(f'<line x1="{sx(t_lo):.2f}" y1="{sy(0.0):.2f}" x2="{sx(t_hi):.2f}" '
+                 f'y2="{sy(float(n_obs)):.2f}" stroke="#888" stroke-dasharray="5,4"/>')
 
     for k, (name, curve) in enumerate(curves.items()):
         color = _COLORS[k % len(_COLORS)]
@@ -468,7 +452,7 @@ def _render_count_curves(curves: dict[str, CountCurve], n_obs: int) -> str:
                           for t, c in zip(curve.taus, curve.counts))
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
                      f'points="{points}"/>')
-        parts.append(f'<text x="{ML + 10}" y="{MT + 18 + 16 * k}" font-size="12" '
+        parts.append(f'<text x="{_ML + 10}" y="{_MT + 18 + 16 * k}" font-size="12" '
                      f'fill="{color}">{name}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
@@ -476,7 +460,6 @@ def _render_count_curves(curves: dict[str, CountCurve], n_obs: int) -> str:
 
 def _render_line_overlay(data: Dataset, result: GridResult) -> str:
     """Scatter of (x, y) with one fitted line per grid level (p = 2 only)."""
-    W, H, ML, MR, MT, MB = 720, 480, 60, 20, 24, 48
     x, y = data.X[:, 0], data.y
     x_lo, x_hi = float(x.min()), float(x.max())
     planes = result.coefficients
@@ -484,17 +467,7 @@ def _render_line_overlay(data: Dataset, result: GridResult) -> str:
     ends = ends[np.isfinite(ends)]
     y_lo, y_hi = float(ends.min()), float(ends.max())
     pad = 0.05 * max(y_hi - y_lo, 1e-12)
-    y_lo, y_hi = y_lo - pad, y_hi + pad
-
-    def sx(v):
-        return ML + (v - x_lo) / max(x_hi - x_lo, 1e-12) * (W - ML - MR)
-
-    def sy(v):
-        return H - MB - (v - y_lo) / max(y_hi - y_lo, 1e-12) * (H - MT - MB)
-
-    parts = _svg_header(W, H)
-    parts.append(f'<rect x="{ML}" y="{MT}" width="{W - ML - MR}" '
-                 f'height="{H - MT - MB}" fill="none" stroke="#444"/>')
+    parts, sx, sy = _svg_frame(x_lo, x_hi, y_lo - pad, y_hi + pad)
     for slope, icept in planes:
         if not (np.isfinite(slope) and np.isfinite(icept)):
             continue
@@ -503,7 +476,7 @@ def _render_line_overlay(data: Dataset, result: GridResult) -> str:
                      f'stroke="#1b6ca8" stroke-width="0.8" stroke-opacity="0.5"/>')
     for xi, yi in zip(x, y):
         parts.append(f'<circle cx="{sx(xi):.2f}" cy="{sy(yi):.2f}" r="3" fill="#111"/>')
-    parts.append(f'<text x="{ML + 10}" y="{MT + 18}" font-size="12" fill="#222">'
+    parts.append(f'<text x="{_ML + 10}" y="{_MT + 18}" font-size="12" fill="#222">'
                  f'{result.method}: {planes.shape[0]} levels</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -270,59 +270,48 @@ def _replace_with_best_candidate(data, betas, counts, j):
         cands.append(betas[j - 1])
     if j < L - 1:
         cands.append(betas[j + 1])
-    best = None
-    for cand, cj in zip(cands, count_below(data, np.array(cands))):
-        viol = 0
-        if j > 0 and cj < counts[j - 1]:
-            viol += 1
-        if j < L - 1 and counts[j + 1] < cj:
-            viol += 1
-        if best is None or viol < best[0]:
-            best = (viol, cand, cj)
-    betas[j] = best[1]
-    counts[j] = best[2]
+    scored = count_below(data, np.array(cands))
+    descents = [int(j > 0 and cj < counts[j - 1]) + int(j < L - 1 and counts[j + 1] < cj)
+                for cj in scored]
+    best = descents.index(min(descents))  # the first of the fewest, in tie-break order
+    betas[j], counts[j] = cands[best], scored[best]
 
 
-def _touches_descent(counts, j):
-    L = counts.size
-    left = j > 0 and counts[j] < counts[j - 1]
-    right = j < L - 1 and counts[j + 1] < counts[j]
-    return left or right
+def _repair_window(data, betas, counts, start, width):
+    """Repair the spike or pulse at grid indices start .. start + width - 1.
 
-
-def _suppress_pulse(data, betas, counts, j):
-    """Collapse the pulse at (j, j+1) to a spike, then repair what remains.
-
-    The index replaced first is the one farther outside the neighbor band
-    (ties go to the left index); if the other index still sits on a descent
-    afterwards it is repaired as a spike.
+    The index farthest outside the neighbor band is replaced first, and
+    always (ties go to the left index).  Each later index is replaced only if
+    it still sits on a descent once the earlier ones are repaired.
     """
     L = counts.size
-    band_lo = float(counts[j - 1]) if j > 0 else -np.inf
-    band_hi = float(counts[j + 2]) if j + 2 < L else np.inf
+    band_lo = float(counts[start - 1]) if start > 0 else -np.inf
+    band_hi = float(counts[start + width]) if start + width < L else np.inf
 
-    def offset(value):
-        if value > band_hi:
-            return value - band_hi
-        if value < band_lo:
-            return band_lo - value
+    def offset(j):
+        if counts[j] > band_hi:
+            return counts[j] - band_hi
+        if counts[j] < band_lo:
+            return band_lo - counts[j]
         return 0.0
 
-    worse = j if offset(counts[j]) >= offset(counts[j + 1]) else j + 1
-    other = j + 1 if worse == j else j
-    _replace_with_best_candidate(data, betas, counts, worse)
-    if _touches_descent(counts, other):
-        _replace_with_best_candidate(data, betas, counts, other)
+    order = sorted(range(start, start + width), key=offset, reverse=True)
+    for k, j in enumerate(order):
+        on_descent = (j > 0 and counts[j] < counts[j - 1]) or (
+            j < L - 1 and counts[j + 1] < counts[j])
+        if k == 0 or on_descent:
+            _replace_with_best_candidate(data, betas, counts, j)
 
 
 def suppress_events(grid_result: GridResult, report: EventReport) -> GridResult:
     """Repair spikes and pulses by neighbor substitution; leave wide events alone.
 
     Each pass walks the report's spikes and pulses in grid order, replaces the
-    offending planes, recomputes all counts from the data, and re-classifies.
-    Repair stops after three passes; suppression_converged records whether
-    the final curve is free of spikes and pulses.  An event-free report
-    returns the grid unchanged.
+    offending planes, and re-classifies the curve.  A replaced plane's count
+    is the one its candidate scored, so the curve is never recounted.  Repair
+    stops after three passes; suppression_converged records whether the final
+    curve is free of spikes and pulses.  An event-free report returns the
+    grid unchanged.
     """
     data = grid_result.dataset
     betas = grid_result.coefficients.copy()
@@ -331,14 +320,9 @@ def suppress_events(grid_result: GridResult, report: EventReport) -> GridResult:
     passes = 0
     while (current.spike_count or current.pulse_count) and passes < _SUPPRESS_PASSES:
         passes += 1
-        narrow = [("spike", s.index) for s in current.spikes]
-        narrow += [("pulse", p.start) for p in current.pulses]
-        for kind, j in sorted(narrow, key=lambda item: item[1]):
-            if kind == "spike":
-                _replace_with_best_candidate(data, betas, counts, j)
-            else:
-                _suppress_pulse(data, betas, counts, j)
-        counts = count_below(data, betas)
+        for start, width in current.windows():
+            if width <= 2:
+                _repair_window(data, betas, counts, start, width)
         current = detect_events(CountCurve(grid_result.taus.copy(), counts, data.n_obs))
 
     curve = CountCurve(grid_result.taus.copy(), counts.copy(), data.n_obs)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .datagen import Dataset
 from .diagnostics import GridResult, count_curve
-from .losses import SRQ, SMRQ, FlexCheckParams, _pinball, classic_total, loss_and_grad
+from .losses import SRQ, SMRQ, FlexCheckParams, _check_tau, _pinball, classic_total, loss_and_grad
 from .optim import (
     CONVERGED,
     DEGENERATE_MULTIPLE,
@@ -180,9 +180,14 @@ def fit_smooth(data: Dataset, tau: float, params: FlexCheckParams = SRQ) -> Quan
 
     Starts from the zero vector.  The result must pass the gradient test
     ||grad||_inf <= 1e-6 * max(1, ||beta||_inf); otherwise SolverError
-    carries the diagnostics.
+    carries the diagnostics, as it does for a ValueError during the solve,
+    such as residuals that overflow.  A tau outside (0, 1) raises ValueError.
     """
-    report = minimize_qn(lambda b: loss_and_grad(data, b, tau, params), np.zeros(data.n_coef))
+    tau = _check_tau(tau)
+    try:
+        report = minimize_qn(lambda b: loss_and_grad(data, b, tau, params), np.zeros(data.n_coef))
+    except ValueError as exc:
+        raise SolverError(f"smooth fit failed at tau={tau}: {exc}") from exc
     tol = FIT_GRAD_RTOL * max(1.0, float(np.abs(report.x).max()))
     if report.status != CONVERGED:
         if report.grad_norm > tol:
@@ -278,9 +283,7 @@ def fit_rq_lp(data: Dataset, tau: float) -> QuantileFit:
     An LP whose dense tableau would exceed 128 MiB (n above about 2890 rows)
     raises SolverError before anything is allocated.
     """
-    if not 0.0 < float(tau) < 1.0:
-        raise ValueError(f"tau must lie strictly inside (0, 1), got {tau}")
-    tau = float(tau)
+    tau = _check_tau(tau)
     n, p = data.X.shape
     tableau_mb = n * (2 * n + 2 * p + 1) * 8 / 2 ** 20
     if tableau_mb > _MAX_TABLEAU_MB:

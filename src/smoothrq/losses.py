@@ -135,8 +135,5 @@ def grad_total(data: Dataset, beta, tau, params: FlexCheckParams = SRQ) -> np.nd
 def loss_and_grad(data: Dataset, beta, tau, params: FlexCheckParams = SRQ):
     """Objective and gradient in one pass (shares the residual computation)."""
     tau = _check_tau(tau)
-    r = data.residuals(beta)
-    if not np.isfinite(r).all():
-        raise ValueError("residuals must be finite")
-    f, deriv = _smooth_terms(r, tau, params)
+    f, deriv = _smooth_terms(_as_residuals(data.residuals(beta)), tau, params)
     return float(f.sum()), -(data.X.T @ deriv)

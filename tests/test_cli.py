@@ -1,5 +1,6 @@
 """Command-line behavior: flags, exit codes, output files, reproducibility."""
 
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 
@@ -29,6 +30,15 @@ def write_line_csv(path, n=7):
     rows = ["x,y"]
     for i in range(n):
         rows.append(f"{float(i)},{2.0 * i + 1.0 + (0.1 if i % 2 else -0.1)}")
+    path.write_text("\n".join(rows) + "\n")
+    return str(path)
+
+
+def write_overflow_csv(path):
+    # x near 1e200 and y near +-1e300: rq fits, but every smooth level's line
+    # search tries a plane whose predictions overflow
+    rows = ["x,y"] + [f"{(1.0 + 0.1 * i) * 1e200!r},{(-1.0) ** i * (1.0 + 0.05 * i) * 1e300!r}"
+                      for i in range(8)]
     path.write_text("\n".join(rows) + "\n")
     return str(path)
 
@@ -247,6 +257,15 @@ class TestFit:
         assert code == 4
         assert "n=3000, p=2" in err and "limited to 128 MiB" in err
 
+    def test_overflowing_smooth_fit_exits_4(self, tmp_path, capsys):
+        path = write_overflow_csv(tmp_path / "big.csv")
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code, out, err = run_cli(["fit", "--data", path, "--response", "y",
+                                      "--tau", "0.5", "--method", "srq"], capsys)
+        assert code == 4
+        assert out == ""
+        assert err == "error: smooth fit failed at tau=0.5: residuals must be finite\n"
+
     def test_flex_fit_runs(self, tmp_path, capsys):
         path = write_line_csv(tmp_path / "d.csv")
         code, out, _ = run_cli(["fit", "--data", path, "--response", "y",
@@ -329,6 +348,43 @@ class TestGrid:
             overlay = (out_dir / f"lines-{method}.svg").read_text()
             ET.fromstring(overlay)
             assert "<circle" in overlay
+
+    def test_svg_and_manifest_layout_pinned(self, tmp_path, capsys):
+        # digests recorded before the two renderers shared one SVG frame and
+        # the manifest became a plain dict
+        out_dir = tmp_path / "pinned"
+        code, _, _ = run_cli(["grid", "--data", "anscombe", "--grid", "99",
+                              "--methods", "rq,srq,smrq,rrq", "--suppress", "--svg",
+                              "--out", str(out_dir)], capsys)
+        assert code == 0
+        digests = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+                   for name in ("curves.svg", "lines-rq.svg")}
+        assert digests == {
+            "curves.svg": "c36eb0ffa0911dca7a29368348496618709626a6fab1d47436d851710731723d",
+            "lines-rq.svg": "71221279a1dba7a980d4d4701606fbd080eddfe29b317f9e316466c8930a6186",
+        }
+        text = (out_dir / "manifest.json").read_text()
+        manifest = json.loads(text)
+        assert list(manifest) == ["command", "config", "datasets", "elapsed_seconds",
+                                  "seeds", "version", "wall_clock_utc"]
+        assert text == json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+
+    def test_overflowing_smooth_levels_fail_and_tsvs_are_written(self, tmp_path, capsys):
+        path = write_overflow_csv(tmp_path / "big.csv")
+        out_dir = tmp_path / "big"
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code, _, err = run_cli(["grid", "--data", path, "--response", "y", "--grid", "9",
+                                    "--methods", "rq,srq", "--out", str(out_dir)], capsys)
+        assert code == 4
+        counts = [line.split("\t") for line in
+                  (out_dir / "counts.tsv").read_text().splitlines()]
+        assert counts[0] == ["tau", "rq", "srq"]
+        assert all(row[1].isdigit() and row[2] == "" for row in counts[1:])
+        assert (out_dir / "events.tsv").exists() and (out_dir / "coefficients.tsv").exists()
+        failures = err.splitlines()[1:]
+        assert len(failures) == 9
+        assert all(line.startswith("  srq: failed: smooth fit failed at tau=")
+                   and line.endswith(": residuals must be finite") for line in failures)
 
     def test_failed_level_exits_4(self, tmp_path, capsys, monkeypatch):
         def broken(data, tau_grid, method, params=None):

@@ -362,6 +362,123 @@ class TestSuppression:
         assert seen >= 50
 
 
+def _reference_replace(data, betas, counts, j):
+    """The repair step as it stood before the window rule: a scored loop."""
+    L = counts.size
+    cands = []
+    if 0 < j < L - 1:
+        cands.append(0.5 * (betas[j - 1] + betas[j + 1]))
+    if j > 0:
+        cands.append(betas[j - 1])
+    if j < L - 1:
+        cands.append(betas[j + 1])
+    best = None
+    for cand, cj in zip(cands, count_below(data, np.array(cands))):
+        viol = 0
+        if j > 0 and cj < counts[j - 1]:
+            viol += 1
+        if j < L - 1 and counts[j + 1] < cj:
+            viol += 1
+        if best is None or viol < best[0]:
+            best = (viol, cand, cj)
+    betas[j] = best[1]
+    counts[j] = best[2]
+
+
+def _touches_descent(counts, j):
+    L = counts.size
+    left = j > 0 and counts[j] < counts[j - 1]
+    right = j < L - 1 and counts[j + 1] < counts[j]
+    return left or right
+
+
+def _suppress_pulse(data, betas, counts, j):
+    L = counts.size
+    band_lo = float(counts[j - 1]) if j > 0 else -np.inf
+    band_hi = float(counts[j + 2]) if j + 2 < L else np.inf
+
+    def offset(value):
+        if value > band_hi:
+            return value - band_hi
+        if value < band_lo:
+            return band_lo - value
+        return 0.0
+
+    worse = j if offset(counts[j]) >= offset(counts[j + 1]) else j + 1
+    other = j + 1 if worse == j else j
+    _reference_replace(data, betas, counts, worse)
+    if _touches_descent(counts, other):
+        _reference_replace(data, betas, counts, other)
+
+
+def reference_suppress(grid_result, report):
+    """suppress_events with a spike/pulse branch and a full recount after each pass."""
+    data = grid_result.dataset
+    betas = grid_result.coefficients.copy()
+    counts = count_below(data, betas)
+    current = report
+    passes = 0
+    while (current.spike_count or current.pulse_count) and passes < 3:
+        passes += 1
+        narrow = [("spike", s.index) for s in current.spikes]
+        narrow += [("pulse", p.start) for p in current.pulses]
+        for kind, j in sorted(narrow, key=lambda item: item[1]):
+            if kind == "spike":
+                _reference_replace(data, betas, counts, j)
+            else:
+                _suppress_pulse(data, betas, counts, j)
+        counts = count_below(data, betas)
+        current = detect_events(CountCurve(grid_result.taus.copy(), counts, data.n_obs))
+    return betas, counts, current, passes
+
+
+def _random_event_curve(rng):
+    """A count curve with spikes, pulses or wide events, or plain random counts."""
+    L = int(rng.integers(3, 40))
+    top = int(rng.integers(1, 20))
+    if rng.random() < 0.25:
+        return rng.integers(0, top + 1, size=L)
+    counts = np.sort(rng.integers(0, top + 1, size=L))
+    for _ in range(int(rng.integers(1, 5))):
+        width = int(rng.choice([1, 1, 2, 2, 3, 4]))
+        start = int(rng.integers(0, max(1, L - width + 1)))
+        counts[start:start + width] += int(rng.choice([-4, -2, -1, 1, 2, 4]))
+    return np.clip(counts, 0, top + 4)
+
+
+class TestSuppressionAgainstReference:
+    def _compare(self, g):
+        report = detect_events(g.curve)
+        out = suppress_events(g, report)
+        betas, counts, events, passes = reference_suppress(g, report)
+        assert out.coefficients.tobytes() == betas.tobytes()
+        assert out.curve.counts.tobytes() == counts.tobytes()
+        assert out.suppression_passes == passes
+        assert out.suppression_converged is not bool(events.spike_count or events.pulse_count)
+        assert out.events == events
+        return report, out
+
+    def test_random_curves(self):
+        rng = np.random.default_rng(1313)
+        seen = {"spike": 0, "pulse": 0, "wide": 0, "multi-pass": 0, "unconverged": 0}
+        for _ in range(2500):
+            report, out = self._compare(grid_for_counts(_random_event_curve(rng)))
+            seen["spike"] += report.spike_count > 0
+            seen["pulse"] += report.pulse_count > 0
+            seen["wide"] += report.wide_count > 0
+            seen["multi-pass"] += out.suppression_passes > 1
+            seen["unconverged"] += not out.suppression_converged
+        assert min(seen.values()) >= 50, seen
+
+    @pytest.mark.parametrize("loader, method", [(load_swiss, "rq"), (load_anscombe, "rq"),
+                                                (load_anscombe, "rrq")])
+    def test_fitted_families(self, loader, method):
+        # real planes pass within an ulp of data points, so the candidates'
+        # stored counts must match what a recount of the whole stack gives
+        data = loader()
+        self._compare(fit_grid(data, TauGrid.from_count(99), method))
+
+
 class TestCrossings:
     def _grid(self, rows):
         rows = np.asarray(rows, dtype=float)

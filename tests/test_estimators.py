@@ -152,6 +152,15 @@ class TestFitSmooth:
         with pytest.raises(ValueError, match="strictly inside"):
             fit_smooth(intercept_only([1.0, 2.0, 4.0]), 0.0)
 
+    def test_overflowing_trial_step_is_a_solver_error(self):
+        # x near 1e200 and y near +-1e300: the line search's first trial plane
+        # predicts past the float range, and loss_and_grad refuses the residuals
+        k = np.arange(8)
+        data = line_dataset((1.0 + 0.1 * k) * 1e200, (-1.0) ** k * (1.0 + 0.05 * k) * 1e300)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(SolverError, match="at tau=0.5: residuals must be finite"):
+                fit_smooth(data, 0.5)
+
     @pytest.mark.parametrize("ratio", [0.99, 1.01])
     def test_unconverged_solver_judged_at_fit_tolerance(self, monkeypatch, ratio):
         # ||beta||_inf = 3, so the fit accepts |grad| up to 3e-6

@@ -6,9 +6,9 @@ shows up as crossing planes and non-monotone below-count curves.  This
 package fits quantiles by minimizing a smooth, strictly convex log-cosh
 check function instead (plus the exact LP baseline and a restricted
 location-scale family for comparison), and ships the diagnostics used to
-measure the difference: below-count curves, spike/pulse/wide event
-classification, event suppression, crossing detection, seeded synthetic
-generators, and a command-line harness.
+measure the difference: below-count curves, event classification (spikes,
+pulses and wide events), event suppression, crossing detection, seeded
+synthetic generators, and a command-line harness.
 """
 
 from .datagen import (
@@ -26,11 +26,9 @@ from .datagen import (
 from .diagnostics import (
     CountCurve,
     Crossing,
+    Event,
     EventReport,
     GridResult,
-    Pulse,
-    Spike,
-    WideEvent,
     count_below,
     count_curve,
     detect_crossings_1d,
@@ -84,7 +82,7 @@ __all__ = [
     "FAILED", "QuantileFit", "RRQModel", "TauGrid", "fit_grid", "fit_rq_lp", "fit_rrq",
     "fit_smooth",
     # diagnostics
-    "CountCurve", "Crossing", "EventReport", "GridResult", "Pulse", "Spike",
-    "WideEvent", "count_below", "count_curve", "detect_crossings_1d",
-    "detect_events", "suppress_events",
+    "CountCurve", "Crossing", "Event", "EventReport", "GridResult",
+    "count_below", "count_curve", "detect_crossings_1d", "detect_events",
+    "suppress_events",
 ]

@@ -52,7 +52,7 @@ from .diagnostics import (
     suppress_events,
 )
 from .estimators import FAILED, METHODS, SMOOTH_PRESETS, TauGrid, fit_grid
-from .losses import SRQ, FlexCheckParams, classic_total, loss_total
+from .losses import SRQ, FlexCheckParams, _check_tau, classic_total, loss_total
 from .optim import SolverError
 
 __all__ = ["build_parser", "main", "entrypoint", "run_bench"]
@@ -148,12 +148,9 @@ def _seed_flag(text: str) -> int:
 
 def _tau_flag(text: str) -> float:
     try:
-        tau = float(text)
+        return _check_tau(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
-    if not 0.0 < tau < 1.0:
-        raise argparse.ArgumentTypeError(f"tau must lie strictly inside (0, 1), got {text}")
-    return tau
 
 
 def _load_dataset(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Dataset:

@@ -3,22 +3,21 @@
 For a grid of quantile levels tau_1 < ... < tau_m and fitted planes
 beta(tau_k), the curve k -> #{i : y_i < x_i' beta(tau_k)} should be
 nondecreasing; any local decrease means two fitted planes cross inside the
-data.  This module counts those violations, classifies them into narrow
-events (single-point spikes, two-point pulses) and wide ones, and repairs the
-narrow ones by replacing the offending planes with neighbor-based candidates.
+data.  This module counts those violations, classifies each into an Event,
+and repairs the narrow ones by replacing the offending planes with
+neighbor-based candidates.
 
-Classification works on windows.  A window [a, b] of grid indices can be
-repaired iff clamping its counts into the band [v[a-1], v[b+1]] restores
-local order, i.e. v[b+1] >= v[a-1] (missing neighbors count as infinite).
-Scanning left to right, each descent v[k] > v[k+1] is assigned the smallest
-feasible window touching it (leftmost on ties):
-
-* width 1, value above the band -> positive spike; below -> negative spike
-* width 2, both values above -> positive pulse; both below -> negative pulse
-* anything wider -> wide event, reported but never repaired
+An event is a window [a, b] of grid indices.  It can be repaired iff
+clamping its counts into the band [v[a-1], v[b+1]] restores local order,
+i.e. v[b+1] >= v[a-1] (missing neighbors count as infinite).  Scanning left
+to right, each descent v[k] > v[k+1] is assigned the smallest feasible
+window touching it (leftmost on ties).  A window of width 1 (a spike) or 2
+(a pulse) qualifies only when both of its end values lie above the band
+(positive) or both below (negative); a window of width 3 or more is a wide
+event, which carries no polarity and is reported but never repaired.
 
 Windows never overlap, so one grid index belongs to at most one event and
-the classified widths add up to exactly the violating indices they cover.
+the event widths add up to exactly the violating indices they cover.
 """
 
 from __future__ import annotations
@@ -32,9 +31,7 @@ from .datagen import DataError, Dataset
 
 __all__ = [
     "MIN_EVENT_LEVELS",
-    "Spike",
-    "Pulse",
-    "WideEvent",
+    "Event",
     "Crossing",
     "CountCurve",
     "EventReport",
@@ -58,19 +55,12 @@ _SUPPRESS_PASSES = 3
 _COUNT_BLOCK = 64
 
 
-class Spike(NamedTuple):
-    index: int
-    polarity: str
+class Event(NamedTuple):
+    """Grid indices start .. start + width - 1: a spike (width 1), pulse (2) or wide event."""
 
-
-class Pulse(NamedTuple):
-    start: int  # covers grid indices (start, start + 1)
-    polarity: str
-
-
-class WideEvent(NamedTuple):
     start: int
-    width: int  # >= 3
+    width: int
+    polarity: str  # POSITIVE or NEGATIVE for widths 1 and 2, "" for a wide event
 
 
 class Crossing(NamedTuple):
@@ -100,32 +90,23 @@ class CountCurve:
 class EventReport:
     """Classified monotonicity violations of one count curve."""
 
-    spikes: list[Spike] = field(default_factory=list)
-    pulses: list[Pulse] = field(default_factory=list)
-    wide_events: list[WideEvent] = field(default_factory=list)
+    events: list[Event] = field(default_factory=list)  # in grid order
 
     @property
     def spike_count(self) -> int:
-        return len(self.spikes)
+        return sum(e.width == 1 for e in self.events)
 
     @property
     def pulse_count(self) -> int:
-        return len(self.pulses)
+        return sum(e.width == 2 for e in self.events)
 
     @property
     def wide_count(self) -> int:
-        return len(self.wide_events)
-
-    def windows(self) -> list[tuple[int, int]]:
-        """(start, width) extents of all events, in grid order."""
-        spans = [(s.index, 1) for s in self.spikes]
-        spans += [(p.start, 2) for p in self.pulses]
-        spans += [(w.start, w.width) for w in self.wide_events]
-        return sorted(spans)
+        return sum(e.width >= 3 for e in self.events)
 
     def coverage(self) -> int:
         """Total number of grid indices inside classified events."""
-        return self.spike_count + 2 * self.pulse_count + sum(w.width for w in self.wide_events)
+        return sum(e.width for e in self.events)
 
     def cell(self) -> str:
         """Compact spikes/pulses rendering used in result tables."""
@@ -180,42 +161,33 @@ def count_below(data: Dataset, beta):
     return int(counts[0]) if beta.ndim < 2 else counts
 
 
-def count_curve(data: Dataset, grid_result: GridResult) -> CountCurve:
-    """Below-count at every grid row of a fitted family."""
+def count_curve(grid_result: GridResult) -> CountCurve:
+    """Below-count at every grid row of a fitted family, on its own dataset."""
+    data = grid_result.dataset
     return CountCurve(taus=grid_result.taus.copy(),
                       counts=count_below(data, grid_result.coefficients), n=data.n_obs)
 
 
-def _find_window(v, i, lo):
+def _find_window(v, i, lo) -> Event:
     """Smallest classifiable window touching the descent edge (i, i+1).
 
-    Returns (start, width, kind, polarity) with kind in {spike, pulse, wide}.
     Windows are tried by growing width, leftmost start first, and may not
     begin before lo (the end of the previous event).
     """
     L = len(v)
     for w in range(1, L - lo + 1):
-        amin = max(lo, i - w + 1)
-        amax = min(i + 1, L - w)
-        for a in range(amin, amax + 1):
+        for a in range(max(lo, i - w + 1), min(i + 1, L - w) + 1):
             b = a + w - 1
-            band_lo = float(v[a - 1]) if a > 0 else -np.inf
-            band_hi = float(v[b + 1]) if b < L - 1 else np.inf
+            band_lo = v[a - 1] if a > 0 else -np.inf
+            band_hi = v[b + 1] if b < L - 1 else np.inf
             if band_hi < band_lo:
                 continue
-            if w == 1:
-                if v[a] > band_hi:
-                    return a, w, "spike", POSITIVE
-                if v[a] < band_lo:
-                    return a, w, "spike", NEGATIVE
-                continue
-            if w == 2:
-                if v[a] > band_hi and v[b] > band_hi:
-                    return a, w, "pulse", POSITIVE
-                if v[a] < band_lo and v[b] < band_lo:
-                    return a, w, "pulse", NEGATIVE
-                continue
-            return a, w, "wide", ""
+            if w >= 3:
+                return Event(a, w, "")
+            if v[a] > band_hi and v[b] > band_hi:
+                return Event(a, w, POSITIVE)
+            if v[a] < band_lo and v[b] < band_lo:
+                return Event(a, w, NEGATIVE)
     raise AssertionError("the full remaining window is always feasible")
 
 
@@ -227,31 +199,18 @@ def detect_events(curve: CountCurve) -> EventReport:
     depends only on count differences, so adding a constant to all counts
     changes nothing.
     """
-    v = curve.counts
-    L = v.size
+    v = curve.counts.tolist()
+    L = len(v)
     if L < MIN_EVENT_LEVELS:
         raise ValueError(
             f"need at least {MIN_EVENT_LEVELS} grid points to classify events, got {L}")
     report = EventReport()
-    lo = 0
-    pos = 0
-    while pos < L - 1:
-        edge = -1
-        for k in range(pos, L - 1):
-            if v[k] > v[k + 1]:
-                edge = k
-                break
-        if edge < 0:
-            break
-        a, w, kind, polarity = _find_window(v, edge, lo)
-        if kind == "spike":
-            report.spikes.append(Spike(a, polarity))
-        elif kind == "pulse":
-            report.pulses.append(Pulse(a, polarity))
-        else:
-            report.wide_events.append(WideEvent(a, w))
-        lo = a + w
-        pos = a + w
+    end = 0
+    for k in range(L - 1):
+        if k >= end and v[k] > v[k + 1]:
+            event = _find_window(v, k, end)
+            report.events.append(event)
+            end = event.start + event.width
     return report
 
 
@@ -320,7 +279,7 @@ def suppress_events(grid_result: GridResult, report: EventReport) -> GridResult:
     passes = 0
     while (current.spike_count or current.pulse_count) and passes < _SUPPRESS_PASSES:
         passes += 1
-        for start, width in current.windows():
+        for start, width, _ in current.events:
             if width <= 2:
                 _repair_window(data, betas, counts, start, width)
         current = detect_events(CountCurve(grid_result.taus.copy(), counts, data.n_obs))

@@ -466,5 +466,5 @@ def fit_grid(data: Dataset, tau_grid, method: str,
     result = GridResult(taus=grid.values.copy(), coefficients=coefs,
                         dataset=data, method=method, statuses=statuses)
     if np.isfinite(coefs).all():
-        result.curve = count_curve(data, result)
+        result.curve = count_curve(result)
     return result

@@ -72,6 +72,12 @@ class TestFlagValidation:
         assert exit_code(["fit", "--data", "anscombe", "--tau", "1.5",
                           "--method", "rq"]) == 2
 
+    @pytest.mark.parametrize("tau", ["0", "1", "nan", "inf"])
+    def test_tau_edges_and_non_finite_rejected(self, tau, capsys):
+        assert exit_code(["fit", "--data", "anscombe", "--tau", tau,
+                          "--method", "rq"]) == 2
+        assert "strictly inside (0, 1)" in capsys.readouterr().err
+
     def test_unknown_method_in_grid(self, tmp_path):
         assert exit_code(["grid", "--data", "anscombe", "--grid", "3",
                           "--methods", "rq,bogus",
@@ -368,6 +374,26 @@ class TestGrid:
         assert list(manifest) == ["command", "config", "datasets", "elapsed_seconds",
                                   "seeds", "version", "wall_clock_utc"]
         assert text == json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+
+    def test_swiss_events_pinned(self, tmp_path, capsys):
+        # recorded before the three event types became one Event
+        out_dir = tmp_path / "swiss"
+        code, out, _ = run_cli(["grid", "--data", "swiss", "--grid", "99",
+                                "--methods", "rq,srq,smrq,rrq", "--suppress",
+                                "--out", str(out_dir)], capsys)
+        assert code == 0
+        assert (out_dir / "events.tsv").read_text() == (
+            "measure\trq\trq-s\tsrq\tsrq-s\tsmrq\tsmrq-s\trrq\trrq-s\n"
+            "spikes/pulses\t2/2\t0/1\t4/0\t0/0\t0/0\t0/0\t0/0\t0/0\n"
+            "wide\t0\t0\t0\t0\t0\t0\t0\t0\n")
+        assert hashlib.sha256((out_dir / "counts.tsv").read_bytes()).hexdigest() == (
+            "5bacf319bd6782a32867f63cb23fd5778915eb82126b9763e103bab065ffecd8")
+        assert [line for line in out.splitlines() if ": events " in line] == [
+            "rq: events 2/2 (wide 0)", "rq-s: events 0/1 (wide 0)",
+            "srq: events 4/0 (wide 0)", "srq-s: events 0/0 (wide 0)",
+            "smrq: events 0/0 (wide 0)", "smrq-s: events 0/0 (wide 0)",
+            "rrq: events 0/0 (wide 0)", "rrq-s: events 0/0 (wide 0)",
+        ]
 
     def test_overflowing_smooth_levels_fail_and_tsvs_are_written(self, tmp_path, capsys):
         path = write_overflow_csv(tmp_path / "big.csv")

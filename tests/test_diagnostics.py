@@ -1,6 +1,8 @@
 """Count curves, event classification, suppression, crossing detection."""
 
 import tracemalloc
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from smoothrq import (
     CountCurve,
     DataError,
     Dataset,
+    Event,
     EventReport,
     GridResult,
     count_below,
@@ -18,7 +21,7 @@ from smoothrq import (
     suppress_events,
 )
 from smoothrq.datagen import load_anscombe, load_swiss
-from smoothrq.diagnostics import NEGATIVE, POSITIVE, Pulse, Spike, WideEvent
+from smoothrq.diagnostics import NEGATIVE, POSITIVE
 from smoothrq.estimators import TauGrid, fit_grid
 
 
@@ -42,7 +45,7 @@ def grid_for_counts(counts):
     betas = (counts - 0.5)[:, None].astype(float)
     taus = np.linspace(0.1, 0.9, counts.size)
     g = GridResult(taus=taus, coefficients=betas, dataset=data, method="rq")
-    g.curve = count_curve(data, g)
+    g.curve = count_curve(g)
     assert (g.curve.counts == counts).all()
     return g
 
@@ -140,24 +143,20 @@ class TestCountCurve:
 class TestDetectEvents:
     def test_positive_spike(self):
         r = detect_events(curve_of([3, 4, 6, 5, 6]))
-        assert r.spikes == [Spike(2, POSITIVE)]
-        assert r.pulses == [] and r.wide_events == []
+        assert r.events == [Event(2, 1, POSITIVE)]
 
     def test_negative_spike(self):
         r = detect_events(curve_of([3, 4, 2, 5, 6]))
-        assert r.spikes == [Spike(2, NEGATIVE)]
-        assert r.pulses == [] and r.wide_events == []
+        assert r.events == [Event(2, 1, NEGATIVE)]
 
     def test_positive_pulse(self):
         r = detect_events(curve_of([2, 5, 5, 3, 4]))
-        assert r.pulses == [Pulse(1, POSITIVE)]
-        assert r.spikes == [] and r.wide_events == []
+        assert r.events == [Event(1, 2, POSITIVE)]
 
     def test_negative_pulse(self):
         # narrower windows around the dip are all band-infeasible
         r = detect_events(curve_of([5, 6, 7, 2, 1, 9]))
-        assert r.pulses == [Pulse(3, NEGATIVE)]
-        assert r.spikes == [] and r.wide_events == []
+        assert r.events == [Event(3, 2, NEGATIVE)]
 
     def test_monotone_empty(self):
         r = detect_events(curve_of([0, 1, 1, 3, 7]))
@@ -175,9 +174,7 @@ class TestDetectEvents:
         base = np.array([3, 4, 6, 5, 6, 2, 7, 7, 9])
         r0 = detect_events(curve_of(base))
         r1 = detect_events(curve_of(base + 5))
-        assert r0.spikes == r1.spikes
-        assert r0.pulses == r1.pulses
-        assert r0.wide_events == r1.wide_events
+        assert r0.events == r1.events
 
     def test_cell_format(self):
         r = detect_events(curve_of([3, 4, 6, 5, 6]))
@@ -187,51 +184,51 @@ class TestDetectEvents:
         # the steep three-step descent leaves no feasible narrow window
         r = detect_events(curve_of([5, 6, 7, 2, 1, 0, 9]))
         assert r.wide_count >= 1
-        assert all(w.width >= 3 for w in r.wide_events)
+        assert all(e.polarity == "" for e in r.events if e.width >= 3)
+
+    def test_counts_by_width(self):
+        r = EventReport([Event(0, 1, POSITIVE), Event(2, 2, NEGATIVE), Event(5, 4, ""),
+                         Event(10, 1, NEGATIVE), Event(12, 3, "")])
+        assert (r.spike_count, r.pulse_count, r.wide_count) == (2, 1, 2)
+        assert r.coverage() == 11
+        assert r.cell() == "2/1"
 
 
 def _windows_sound(counts, report):
     """Check the report's windows against the curve they classify.
 
-    Windows must be disjoint, in bounds, and band-feasible; every descent
-    edge must touch a window; spikes and pulses must sit outside their band
-    on the reported side.  Clamping a narrow window into the band of its
-    original neighbors must restore order on that window's own slice.  When
-    no window abuts another (and none is wide), the local repairs chain, so
-    one clamping pass over the whole curve must leave it nondecreasing.
+    Windows must be in grid order, disjoint, in bounds, and band-feasible;
+    every descent edge must touch a window; spikes and pulses must sit
+    outside their band on the reported side, and wide events carry no
+    polarity.  Clamping a narrow window into the band of its original
+    neighbors must restore order on that window's own slice.  When no window
+    abuts another (and none is wide), the local repairs chain, so one
+    clamping pass over the whole curve must leave it nondecreasing.
     Back-to-back windows give no such one-pass promise: each band quotes the
     other window's corrupted value, and their joint repair is the multi-pass
     suppression loop's job.
     """
     v = np.asarray(counts, dtype=float)
     L = v.size
-    kinds = {(s.index, 1): ("spike", s.polarity) for s in report.spikes}
-    kinds.update({(p.start, 2): ("pulse", p.polarity) for p in report.pulses})
-    kinds.update({(w.start, w.width): ("wide", "") for w in report.wide_events})
-    wins = report.windows()
-    assert len(kinds) == len(wins)
+    wins = [(e.start, e.width) for e in report.events]
+    assert wins == sorted(set(wins))
     covered = set()
-    for start, width in wins:
-        assert 0 <= start and start + width <= L
+    for start, width, polarity in report.events:
+        assert 0 <= start and 1 <= width and start + width <= L
         lo = v[start - 1] if start > 0 else -np.inf
         hi = v[start + width] if start + width < L else np.inf
         assert hi >= lo
-        kind, polarity = kinds[(start, width)]
         block = v[start:start + width]
-        if kind == "spike":
-            assert width == 1
-            assert block[0] > hi if polarity == "positive" else block[0] < lo
-        elif kind == "pulse":
-            assert width == 2
-            if polarity == "positive":
+        if width <= 2:
+            assert polarity in (POSITIVE, NEGATIVE)
+            if polarity == POSITIVE:
                 assert (block > hi).all()
             else:
                 assert (block < lo).all()
-        else:
-            assert width >= 3
-        if kind != "wide":
             slab = np.concatenate(([lo], np.clip(block, lo, hi), [hi]))
             assert (np.diff(slab) >= 0).all(), f"window ({start},{width}) of {list(v)}"
+        else:
+            assert polarity == ""
         span = set(range(start, start + width))
         assert not (span & covered)
         covered |= span
@@ -244,7 +241,7 @@ def _windows_sound(counts, report):
     separated = all(
         wins[i][0] + wins[i][1] < wins[i + 1][0] for i in range(len(wins) - 1)
     )
-    if not report.wide_events and separated:
+    if not report.wide_count and separated:
         repaired = v.copy()
         for start, width in wins:
             lo = v[start - 1] if start > 0 else -np.inf
@@ -253,6 +250,133 @@ def _windows_sound(counts, report):
                 repaired[start:start + width], lo, hi)
         assert (np.diff(repaired) >= 0).all(), f"clamping failed to repair {list(v)}"
     return len(covered)
+
+
+class _ReferenceSpike(NamedTuple):
+    index: int
+    polarity: str
+
+
+class _ReferencePulse(NamedTuple):
+    start: int
+    polarity: str
+
+
+class _ReferenceWide(NamedTuple):
+    start: int
+    width: int
+
+
+@dataclass
+class _ReferenceReport:
+    spikes: list = field(default_factory=list)
+    pulses: list = field(default_factory=list)
+    wide_events: list = field(default_factory=list)
+
+    def triples(self):
+        """(start, width, polarity) of every event, in grid order."""
+        out = [(s.index, 1, s.polarity) for s in self.spikes]
+        out += [(p.start, 2, p.polarity) for p in self.pulses]
+        out += [(w.start, w.width, "") for w in self.wide_events]
+        return sorted(out)
+
+    def coverage(self):
+        return len(self.spikes) + 2 * len(self.pulses) + sum(w.width for w in self.wide_events)
+
+    def cell(self):
+        return f"{len(self.spikes)}/{len(self.pulses)}"
+
+
+def _reference_find_window(v, i, lo):
+    L = len(v)
+    for w in range(1, L - lo + 1):
+        amin = max(lo, i - w + 1)
+        amax = min(i + 1, L - w)
+        for a in range(amin, amax + 1):
+            b = a + w - 1
+            band_lo = float(v[a - 1]) if a > 0 else -np.inf
+            band_hi = float(v[b + 1]) if b < L - 1 else np.inf
+            if band_hi < band_lo:
+                continue
+            if w == 1:
+                if v[a] > band_hi:
+                    return a, w, "spike", POSITIVE
+                if v[a] < band_lo:
+                    return a, w, "spike", NEGATIVE
+                continue
+            if w == 2:
+                if v[a] > band_hi and v[b] > band_hi:
+                    return a, w, "pulse", POSITIVE
+                if v[a] < band_lo and v[b] < band_lo:
+                    return a, w, "pulse", NEGATIVE
+                continue
+            return a, w, "wide", ""
+    raise AssertionError("the full remaining window is always feasible")
+
+
+def reference_detect_events(curve):
+    """The classifier as it stood with one type and one list per event kind."""
+    v = curve.counts
+    L = v.size
+    report = _ReferenceReport()
+    lo = 0
+    pos = 0
+    while pos < L - 1:
+        edge = -1
+        for k in range(pos, L - 1):
+            if v[k] > v[k + 1]:
+                edge = k
+                break
+        if edge < 0:
+            break
+        a, w, kind, polarity = _reference_find_window(v, edge, lo)
+        if kind == "spike":
+            report.spikes.append(_ReferenceSpike(a, polarity))
+        elif kind == "pulse":
+            report.pulses.append(_ReferencePulse(a, polarity))
+        else:
+            report.wide_events.append(_ReferenceWide(a, w))
+        lo = a + w
+        pos = a + w
+    return report
+
+
+def _assert_matches_reference(curve):
+    report = detect_events(curve)
+    ref = reference_detect_events(curve)
+    assert [tuple(e) for e in report.events] == ref.triples(), list(curve.counts)
+    assert report.spike_count == len(ref.spikes)
+    assert report.pulse_count == len(ref.pulses)
+    assert report.wide_count == len(ref.wide_events)
+    assert report.coverage() == ref.coverage()
+    assert report.cell() == ref.cell()
+    return report
+
+
+class TestAgainstReferenceClassifier:
+    def test_random_curves(self):
+        rng = np.random.default_rng(1414)
+        widths = set()
+        for _ in range(5000):
+            L = int(rng.integers(3, 61))
+            n = int(rng.integers(1, 20))
+            raw = rng.integers(0, n + 1, size=L)
+            perturbed = np.sort(rng.integers(0, n + 1, size=L))
+            for _ in range(int(rng.integers(1, 6))):
+                width = int(rng.choice([1, 1, 2, 2, 3, 4]))
+                start = int(rng.integers(0, max(1, L - width + 1)))
+                perturbed[start:start + width] += int(rng.choice([-4, -2, -1, 1, 2, 4]))
+            perturbed = np.clip(perturbed, 0, n + 4)
+            for counts in (raw, perturbed):
+                report = _assert_matches_reference(curve_of(counts, n=n + 4))
+                widths.update(min(e.width, 3) for e in report.events)
+        assert widths == {1, 2, 3}
+
+    @pytest.mark.parametrize("loader", [load_swiss, load_anscombe])
+    def test_fitted_families(self, loader):
+        data = loader()
+        for method in ("rq", "srq", "smrq", "rrq"):
+            _assert_matches_reference(fit_grid(data, TauGrid.from_count(99), method).curve)
 
 
 class TestClassificationPartition:
@@ -301,12 +425,12 @@ class TestSuppression:
     def test_wide_event_untouched(self):
         g = grid_for_counts([1, 1, 1, 1, 0, 0, 0, 0])
         report = detect_events(g.curve)
-        assert report.wide_events == [WideEvent(0, 4)]
+        assert report.events == [Event(0, 4, "")]
         assert report.spike_count == 0 and report.pulse_count == 0
         out = suppress_events(g, report)
         assert (out.curve.counts == g.curve.counts).all()
         assert out.coefficients.tobytes() == g.coefficients.tobytes()
-        assert out.events.wide_events == [WideEvent(0, 4)]
+        assert out.events.events == [Event(0, 4, "")]
 
     def test_pulse_conversion_and_repair(self):
         g = grid_for_counts([2, 5, 5, 3, 4])
@@ -420,12 +544,10 @@ def reference_suppress(grid_result, report):
     passes = 0
     while (current.spike_count or current.pulse_count) and passes < 3:
         passes += 1
-        narrow = [("spike", s.index) for s in current.spikes]
-        narrow += [("pulse", p.start) for p in current.pulses]
-        for kind, j in sorted(narrow, key=lambda item: item[1]):
-            if kind == "spike":
+        for j, width, _ in current.events:
+            if width == 1:
                 _reference_replace(data, betas, counts, j)
-            else:
+            elif width == 2:
                 _suppress_pulse(data, betas, counts, j)
         counts = count_below(data, betas)
         current = detect_events(CountCurve(grid_result.taus.copy(), counts, data.n_obs))

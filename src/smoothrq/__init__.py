@@ -53,6 +53,7 @@ from .losses import (
     check_smooth,
     classic_total,
     grad_total,
+    hess_total,
     loss_and_grad,
     loss_total,
 )
@@ -74,7 +75,7 @@ __all__ = [
     "load_swiss", "write_csv",
     # losses
     "FlexCheckParams", "SRQ", "SMRQ", "check_classic", "check_smooth",
-    "classic_total", "grad_total", "loss_and_grad", "loss_total",
+    "classic_total", "grad_total", "hess_total", "loss_and_grad", "loss_total",
     # optimizers
     "LPProblem", "SolveReport", "SolverError", "minimize_qn",
     "solve_lp_simplex",

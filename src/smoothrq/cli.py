@@ -547,7 +547,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "replicates", 1) < 1:
         parser.error("--replicates must be at least 1")
-    return args.func(args, parser)
+    # smoothrq's own checks report every numeric failure; numpy's warnings
+    # would only repeat them on stderr with source lines
+    with np.errstate(all="ignore"):
+        return args.func(args, parser)
 
 
 def entrypoint(argv=None) -> int:

@@ -1,10 +1,10 @@
-"""Quantile estimators: smooth quasi-Newton fits, LP fits, and restricted fits.
+"""Quantile estimators: smooth Newton fits, LP fits, and restricted fits.
 
 Three routes to a fitted plane at level tau:
 
-* fit_smooth minimizes the smooth check loss with the quasi-Newton solver.
-  The objective is strictly convex and differentiable, so the family of
-  solutions moves continuously in tau.
+* fit_smooth minimizes the smooth check loss by damped Newton steps with
+  its exact Hessian.  The objective is strictly convex and differentiable,
+  so the family of solutions moves continuously in tau.
 * fit_rq_lp minimizes the classic pinball loss exactly, as the linear
   program  min tau*sum(u) + (1-tau)*sum(v)  s.t.
   X(b+ - b-) + u - v = y - X beta_ls,  all variables nonnegative, with
@@ -28,7 +28,8 @@ import numpy as np
 
 from .datagen import Dataset
 from .diagnostics import GridResult, count_curve
-from .losses import SRQ, SMRQ, FlexCheckParams, _check_tau, _pinball, classic_total, loss_and_grad
+from .losses import (SRQ, SMRQ, FlexCheckParams, _check_tau, _pinball, classic_total,
+                     hess_total, loss_and_grad)
 from .optim import (
     CONVERGED,
     DEGENERATE_MULTIPLE,
@@ -178,14 +179,22 @@ class RRQModel:
 def fit_smooth(data: Dataset, tau: float, params: FlexCheckParams = SRQ) -> QuantileFit:
     """Minimize the smooth check loss at one level.
 
-    Starts from the zero vector.  The result must pass the gradient test
-    ||grad||_inf <= 1e-6 * max(1, ||beta||_inf); otherwise SolverError
-    carries the diagnostics, as it does for a ValueError during the solve,
-    such as residuals that overflow.  A tau outside (0, 1) raises ValueError.
+    Starts from the zero vector and takes damped Newton steps with the exact
+    Hessian, damped along the column norms of X.  Data whose X'X overflows
+    cannot form that system and raise SolverError before any evaluation.
+    The result must pass the gradient test ||grad||_inf <= 1e-6 *
+    max(1, ||beta||_inf); otherwise SolverError carries the diagnostics, as
+    it does for a ValueError during the solve, such as residuals that
+    overflow.  A tau outside (0, 1) raises ValueError.
     """
     tau = _check_tau(tau)
+    col_sq = (data.X * data.X).sum(axis=0)
+    if not np.isfinite(col_sq).all():
+        raise SolverError(f"smooth fit failed at tau={tau}: X'X overflows the float range")
     try:
-        report = minimize_qn(lambda b: loss_and_grad(data, b, tau, params), np.zeros(data.n_coef))
+        report = minimize_qn(lambda b: loss_and_grad(data, b, tau, params),
+                             lambda b: hess_total(data, b, params),
+                             np.zeros(data.n_coef), np.sqrt(np.where(col_sq > 0, col_sq, 1.0)))
     except ValueError as exc:
         raise SolverError(f"smooth fit failed at tau={tau}: {exc}") from exc
     tol = FIT_GRAD_RTOL * max(1.0, float(np.abs(report.x).max()))

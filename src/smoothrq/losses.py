@@ -18,7 +18,9 @@ stand-in for the pinball loss while keeping gradients exact.
 The kernel evaluates log cosh z as |z| - log 2 + log1p(exp(-2|z|)), which
 is exact up to rounding and cannot overflow for any z.  The derivative
 tanh(c (r - h)) / 2 + (tau - s) runs from tau - 1 to tau when s = 1/2, the
-subgradient range of the pinball loss.
+subgradient range of the pinball loss.  The second derivative
+(c / 2) sech^2(c (r - h)), which hess_total sums, comes from the same
+exp(-2|z|).
 
 Everything here is pure and stateless; functions accept scalars or arrays.
 """
@@ -40,6 +42,7 @@ __all__ = [
     "classic_total",
     "loss_total",
     "grad_total",
+    "hess_total",
     "loss_and_grad",
 ]
 
@@ -81,7 +84,7 @@ def _as_residuals(r):
 
 def _check_tau(tau: float) -> float:
     tau = float(tau)
-    if not (np.isfinite(tau) and 0.0 < tau < 1.0):
+    if not 0.0 < tau < 1.0:  # NaN and infinities fail too
         raise ValueError(f"tau must lie strictly inside (0, 1), got {tau}")
     return tau
 
@@ -92,11 +95,16 @@ def _maybe_scalar(out: np.ndarray, like) -> float | np.ndarray:
     return out
 
 
+def _exp_term(r: np.ndarray, params: FlexCheckParams):
+    """z = c (r - h) and e = exp(-2|z|), from which F, F' and F'' all follow."""
+    z = params.c * (r - params.h)
+    return z, np.exp(-2.0 * np.abs(z))
+
+
 def _smooth_terms(r: np.ndarray, tau: float, params: FlexCheckParams):
     """F(r) and F'(r) of the smooth check loss; tau checked, r finite floats."""
-    z = params.c * (r - params.h)
-    az = np.abs(z)
-    log_cosh = az - np.log(2.0) + np.log1p(np.exp(-2.0 * az))
+    z, e = _exp_term(r, params)
+    log_cosh = np.abs(z) - np.log(2.0) + np.log1p(e)
     f = log_cosh / (2.0 * params.c) + (tau - params.s) * r + params.v
     return f, 0.5 * np.tanh(z) + (tau - params.s)
 
@@ -137,3 +145,12 @@ def loss_and_grad(data: Dataset, beta, tau, params: FlexCheckParams = SRQ):
     tau = _check_tau(tau)
     f, deriv = _smooth_terms(_as_residuals(data.residuals(beta)), tau, params)
     return float(f.sum()), -(data.X.T @ deriv)
+
+
+def hess_total(data: Dataset, beta, params: FlexCheckParams = SRQ) -> np.ndarray:
+    """Hessian of loss_total in beta, X' diag(F'') X; F'' does not depend on tau.
+
+    F''(r) = (c/2) sech^2 z = 2 c e / (1 + e)^2, from the same e as the loss.
+    """
+    _, e = _exp_term(_as_residuals(data.residuals(beta)), params)
+    return data.X.T @ ((2.0 * params.c * e / (1.0 + e) ** 2)[:, None] * data.X)

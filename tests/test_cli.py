@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -35,8 +36,8 @@ def write_line_csv(path, n=7):
 
 
 def write_overflow_csv(path):
-    # x near 1e200 and y near +-1e300: rq fits, but every smooth level's line
-    # search tries a plane whose predictions overflow
+    # x near 1e200 and y near +-1e300: rq fits, but X'X, which the smooth
+    # fits' Newton system holds, overflows
     rows = ["x,y"] + [f"{(1.0 + 0.1 * i) * 1e200!r},{(-1.0) ** i * (1.0 + 0.05 * i) * 1e300!r}"
                       for i in range(8)]
     path.write_text("\n".join(rows) + "\n")
@@ -265,12 +266,13 @@ class TestFit:
 
     def test_overflowing_smooth_fit_exits_4(self, tmp_path, capsys):
         path = write_overflow_csv(tmp_path / "big.csv")
-        with pytest.warns(RuntimeWarning, match="overflow"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning would print on stderr
             code, out, err = run_cli(["fit", "--data", path, "--response", "y",
                                       "--tau", "0.5", "--method", "srq"], capsys)
         assert code == 4
         assert out == ""
-        assert err == "error: smooth fit failed at tau=0.5: residuals must be finite\n"
+        assert err == "error: smooth fit failed at tau=0.5: X'X overflows the float range\n"
 
     def test_flex_fit_runs(self, tmp_path, capsys):
         path = write_line_csv(tmp_path / "d.csv")
@@ -398,7 +400,8 @@ class TestGrid:
     def test_overflowing_smooth_levels_fail_and_tsvs_are_written(self, tmp_path, capsys):
         path = write_overflow_csv(tmp_path / "big.csv")
         out_dir = tmp_path / "big"
-        with pytest.warns(RuntimeWarning, match="overflow"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning would print on stderr
             code, _, err = run_cli(["grid", "--data", path, "--response", "y", "--grid", "9",
                                     "--methods", "rq,srq", "--out", str(out_dir)], capsys)
         assert code == 4
@@ -410,7 +413,7 @@ class TestGrid:
         failures = err.splitlines()[1:]
         assert len(failures) == 9
         assert all(line.startswith("  srq: failed: smooth fit failed at tau=")
-                   and line.endswith(": residuals must be finite") for line in failures)
+                   and line.endswith(": X'X overflows the float range") for line in failures)
 
     def test_failed_level_exits_4(self, tmp_path, capsys, monkeypatch):
         def broken(data, tau_grid, method, params=None):

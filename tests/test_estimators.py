@@ -152,14 +152,22 @@ class TestFitSmooth:
         with pytest.raises(ValueError, match="strictly inside"):
             fit_smooth(intercept_only([1.0, 2.0, 4.0]), 0.0)
 
-    def test_overflowing_trial_step_is_a_solver_error(self):
-        # x near 1e200 and y near +-1e300: the line search's first trial plane
-        # predicts past the float range, and loss_and_grad refuses the residuals
+    def test_overflowing_trial_step_is_a_solver_error(self, monkeypatch):
+        # x near 1e200 and y near +-1e300: a first step along -g (the old
+        # BFGS trial) predicts past the float range, and steps damped by
+        # column norms move the fit by about 1e-2 each, so they would run to
+        # the iteration cap.  Both need X'X, which overflows: the fit refuses
+        # the data before it evaluates the objective
+        calls = []
+        monkeypatch.setattr(estimators, "loss_and_grad",
+                            lambda *args: calls.append(None) or loss_and_grad(*args))
         k = np.arange(8)
         data = line_dataset((1.0 + 0.1 * k) * 1e200, (-1.0) ** k * (1.0 + 0.05 * k) * 1e300)
         with pytest.warns(RuntimeWarning, match="overflow"):
-            with pytest.raises(SolverError, match="at tau=0.5: residuals must be finite"):
+            with pytest.raises(SolverError, match=r"^smooth fit failed at tau=0\.5: "
+                                                  r"X'X overflows the float range$"):
                 fit_smooth(data, 0.5)
+        assert calls == []
 
     @pytest.mark.parametrize("ratio", [0.99, 1.01])
     def test_unconverged_solver_judged_at_fit_tolerance(self, monkeypatch, ratio):
@@ -167,7 +175,7 @@ class TestFitSmooth:
         beta = np.array([2.0, -3.0])
         grad_norm = ratio * FIT_GRAD_RTOL * 3.0
 
-        def capped(fun_and_grad, x0):
+        def capped(fun_and_grad, hess, x0, scale):
             return SolveReport(x=beta.copy(), fun=1.0, iterations=500,
                                status=ITERATION_CAP, grad_norm=grad_norm)
 
@@ -535,19 +543,26 @@ class TestSmoothGridWork:
             assert np.abs(g).max() <= FIT_GRAD_RTOL * max(1.0, np.abs(beta).max())
 
     def test_srq_grid_objective_evaluations(self, monkeypatch):
-        # Wolfe steps take 2,674 evaluations here; accepting the first step
-        # that passes the decrease test alone took 10,185
-        calls = []
+        # damped Newton steps take 1,248 objective evaluations and 1,110
+        # Hessians here; BFGS with Wolfe steps took 2,674 evaluations, and
+        # with Armijo-only steps 10,185
+        calls = {"loss_and_grad": 0, "hess_total": 0}
 
-        def counted(*args):
-            calls.append(None)
-            return loss_and_grad(*args)
+        def counted(name):
+            real = getattr(estimators, name)
 
-        monkeypatch.setattr(estimators, "loss_and_grad", counted)
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(estimators, name, counted(name))
         data = gen_hetero_normal(SynthConfig(n=400, seed=20660819))
         result = fit_grid(data, TauGrid.from_count(99), "srq")
         assert result.statuses == [CONVERGED] * 99
-        assert len(calls) <= 5000
+        assert 0 < calls["loss_and_grad"] <= 1400
+        assert 0 < calls["hess_total"] <= 1250
 
 
 class TestObjectiveConsistency:

@@ -18,6 +18,7 @@ from smoothrq import (
     check_smooth,
     gen_hetero_normal,
     grad_total,
+    hess_total,
     load_swiss,
     loss_and_grad,
     loss_total,
@@ -262,6 +263,34 @@ class TestDatasetSums:
                        - loss_total(d, beta - e, tau, params)) / (2 * step)
                 denom = max(1.0, abs(num))
                 assert abs(grad[k] - num) / denom < 1e-6
+
+    def test_hessian_matches_finite_differences_of_the_gradient(self):
+        rng = np.random.default_rng(43)
+        step = 1e-6
+        for _ in range(40):
+            n, p = rng.integers(6, 50), rng.integers(1, 6)
+            X = np.hstack([rng.normal(size=(n, p - 1)), np.ones((n, 1))])
+            d = Dataset(X=X, y=rng.normal(scale=3.0, size=n),
+                        column_names=tuple(f"x{j}" for j in range(p - 1)) + ("intercept",))
+            beta, tau = rng.normal(size=p), rng.uniform(0.05, 0.95)
+            params = FlexCheckParams(c=rng.uniform(0.5, 11.0), h=rng.uniform(-0.5, 0.5),
+                                     s=rng.uniform(0.0, 1.0), v=rng.uniform(-0.5, 0.5))
+            H = hess_total(d, beta, params)
+            for k in range(p):
+                e = np.zeros(p)
+                e[k] = step
+                num = (grad_total(d, beta + e, tau, params)
+                       - grad_total(d, beta - e, tau, params)) / (2 * step)
+                assert np.abs(H[:, k] - num).max() / max(1.0, np.abs(num).max()) < 1e-6
+
+    def test_hessian_weight_is_half_c_sech_squared(self):
+        # one row y = r and an intercept of 0: the Hessian is F''(r) = (c/2) sech^2(c r),
+        # which stays finite, and reaches 0, far out where cosh overflows
+        for r in (0.0, 0.03, -0.4, 2.0, 50.0, -1e3):
+            expected = 5.0 / np.cosh(10.0 * r) ** 2 if abs(r) < 50 else 0.0
+            got = hess_total(_tiny_dataset([r]), [0.0], SRQ)
+            assert got.shape == (1, 1)
+            assert got[0, 0] == pytest.approx(expected, rel=1e-14, abs=1e-300)
 
     def test_loss_and_grad_consistent(self):
         d = _tiny_dataset([1.0, 2.0, 4.0])

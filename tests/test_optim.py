@@ -1,4 +1,4 @@
-"""Solver behavior: quasi-Newton descent, slack-basis simplex, the quantile LP's start."""
+"""Solver behavior: damped Newton descent, slack-basis simplex, the quantile LP's start."""
 
 import tracemalloc
 from functools import partial
@@ -14,12 +14,14 @@ from smoothrq import (
     SynthConfig,
     TauGrid,
     classic_total,
+    fit_grid,
     fit_rq_lp,
     fit_rrq,
     gen_hetero_normal,
     gen_pareto,
     load_anscombe,
     load_swiss,
+    loss_total,
     minimize_qn,
     solve_lp_simplex,
 )
@@ -197,10 +199,84 @@ def assert_same_solve(problem):
     return mine
 
 
+def bfgs_reference(fun_and_grad, x0):
+    """The BFGS loop with a weak-Wolfe line search that the Newton steps replaced.
+
+    Each line search starts at a = 1 along -H g, doubles a until a trial
+    fails the decrease test f(x + a d) <= f + 1e-4 a g'd + noise, then
+    bisects, accepting the first trial that also meets g(x + a d)'d >=
+    0.9 g'd; after 80 trials it settles for the last one that passed the
+    decrease test.  The inverse Hessian is rescaled once and reset to the
+    identity whenever it stops giving descent.
+    """
+    x = np.array(x0, dtype=float).ravel()
+    f, g = fun_and_grad(x)
+    f, g = float(f), np.asarray(g, dtype=float).ravel()
+    p = x.shape[0]
+    H = np.eye(p)
+    scaled = False
+    status = ITERATION_CAP
+    it = 0
+    for it in range(optim._QN_MAX_ITER + 1):
+        if np.abs(g).max() <= optim._GRAD_TOL * max(1.0, float(np.abs(x).max())):
+            status = CONVERGED
+            break
+        if it == optim._QN_MAX_ITER:
+            break
+        d = -(H @ g)
+        gd = float(g @ d)
+        if gd >= 0.0:
+            H = np.eye(p)
+            d = -g
+            gd = -float(g @ g)
+        noise = optim._F_NOISE * (1.0 + abs(f))
+        lo, hi, alpha = 0.0, np.inf, 1.0
+        step = None
+        for _ in range(80):
+            x_t = x + alpha * d
+            f_t, g_t = fun_and_grad(x_t)
+            f_t = float(f_t)
+            if not f_t <= f + 1e-4 * alpha * gd + noise:
+                hi = alpha
+            else:
+                g_t = np.asarray(g_t, dtype=float).ravel()
+                step = (x_t, f_t, g_t)
+                if float(g_t @ d) >= 0.9 * gd:
+                    break
+                lo = alpha
+            alpha = 2.0 * alpha if hi == np.inf else 0.5 * (lo + hi)
+        if step is None:
+            raise SolverError(f"line search stalled at iteration {it}")
+        x_new, f_new, g_new = step
+        s, yv = x_new - x, g_new - g
+        sy = float(s @ yv)
+        if sy > 0.0:
+            if not scaled:
+                H *= sy / float(yv @ yv)
+                scaled = True
+            Hy = H @ yv
+            rho = 1.0 / sy
+            H -= rho * (np.outer(s, Hy) + np.outer(Hy, s))
+            H += (rho * rho * float(yv @ Hy) + rho) * np.outer(s, s)
+        x, f, g = x_new, f_new, g_new
+    return SolveReport(x=x, fun=f, iterations=it, status=status,
+                       grad_norm=float(np.abs(g).max()))
+
+
+def newton(fun_and_grad, hess, x0, scale=None):
+    x0 = np.asarray(x0, dtype=float)
+    return minimize_qn(fun_and_grad, hess, x0, np.ones(x0.size) if scale is None else scale)
+
+
+def constant_hessian(H):
+    H = np.atleast_2d(np.asarray(H, dtype=float))
+    return lambda x: H
+
+
 class TestMinimizeQN:
     def test_scalar_quadratic(self):
-        rep = minimize_qn(lambda x: (float((x[0] - 3) ** 2), np.array([2 * (x[0] - 3)])),
-                          [0.0])
+        rep = newton(lambda x: (float((x[0] - 3) ** 2), np.array([2 * (x[0] - 3)])),
+                     constant_hessian(2.0), [0.0])
         assert rep.status == CONVERGED
         assert rep.x[0] == pytest.approx(3.0, abs=1e-8)
 
@@ -209,7 +285,7 @@ class TestMinimizeQN:
             z = 10.0 * (x[0] - 2.0)
             return float(np.log(np.cosh(z)) / 20.0), np.array([np.tanh(z) / 2.0])
 
-        rep = minimize_qn(fg, [0.0])
+        rep = newton(fg, lambda x: np.array([[5.0 / np.cosh(10.0 * (x[0] - 2.0)) ** 2]]), [0.0])
         assert rep.status == CONVERGED
         assert rep.x[0] == pytest.approx(2.0, abs=1e-6)
 
@@ -218,20 +294,38 @@ class TestMinimizeQN:
             f = (x[0] - 1) ** 2 + 10 * (x[1] + 2) ** 2
             return float(f), np.array([2 * (x[0] - 1), 20 * (x[1] + 2)])
 
-        rep = minimize_qn(fg, [0.0, 0.0])
+        rep = newton(fg, constant_hessian(np.diag([2.0, 20.0])), [0.0, 0.0])
         assert rep.status == CONVERGED
         assert rep.x == pytest.approx([1.0, -2.0], abs=1e-7)
 
+    def test_scaling_makes_a_badly_scaled_quadratic_easy(self):
+        # columns 1e4 apart: scaled by D, the damped system is the identity's
+        A = np.diag([1e4, 1.0])
+        b = np.array([1.0, 2.0])
+
+        def fg(x):
+            r = A @ x - b
+            return float(r @ r), 2 * (A.T @ r)
+
+        rep = newton(fg, constant_hessian(2 * A.T @ A), [0.0, 0.0], scale=[1e4, 1.0])
+        assert rep.status == CONVERGED
+        assert rep.x == pytest.approx([1e-4, 2.0], rel=1e-9)
+        assert rep.iterations <= 12
+
     def test_nonfinite_start_raises(self):
-        with pytest.raises(SolverError):
-            minimize_qn(lambda x: (np.inf, np.array([1.0])), [0.0])
+        with pytest.raises(SolverError, match="non-finite at iteration 0"):
+            newton(lambda x: (np.inf, np.array([1.0])), constant_hessian(1.0), [0.0])
+
+    def test_nonfinite_hessian_raises(self):
+        with pytest.raises(SolverError, match="Hessian non-finite at iteration 0"):
+            newton(lambda x: (1.0, np.array([1.0])), constant_hessian(np.nan), [0.0])
 
     def test_iteration_cap_status(self, monkeypatch):
         def fg(x):
             return float((x[0] - 3) ** 4), np.array([4 * (x[0] - 3) ** 3])
 
         monkeypatch.setattr(optim, "_QN_MAX_ITER", 1)
-        rep = minimize_qn(fg, [0.0])
+        rep = newton(fg, lambda x: np.array([[12 * (x[0] - 3) ** 2]]), [0.0])
         assert rep.status == "iteration-cap"
         assert rep.iterations == 1
         assert rep.grad_norm > optim._GRAD_TOL
@@ -245,54 +339,106 @@ class TestMinimizeQN:
             r = A @ x - b
             return float(r @ r), 2 * (A.T @ r)
 
-        r1 = minimize_qn(fg, np.zeros(3))
-        r2 = minimize_qn(fg, np.zeros(3))
+        r1 = newton(fg, constant_hessian(2 * A.T @ A), np.zeros(3))
+        r2 = newton(fg, constant_hessian(2 * A.T @ A), np.zeros(3))
+        assert r1.status == CONVERGED
         assert r1.x.tobytes() == r2.x.tobytes()
         assert r1.fun == r2.fun
         assert r1.iterations == r2.iterations
 
     def test_flat_tail_traversal(self):
-        # exactly linear until |x| nears the minimum at 1e4: fixed-size steps
-        # would need ~1e4 iterations.  A linear stretch never meets the Wolfe
-        # curvature test, so the line search doubles the step until it
-        # overshoots the minimum, then bisects back
+        # exactly linear until |x| nears the minimum at 1e4, with zero
+        # curvature there: fixed-size steps would need ~1e4 iterations, but
+        # every step the linear model predicts exactly divides mu by 4
         def fg(x):
             z = x[0] - 1e4
             f = abs(z) if abs(z) > 1.0 else 0.5 * (z * z + 1.0)
             g = np.sign(z) if abs(z) > 1.0 else z
             return float(f), np.array([g])
 
-        rep = minimize_qn(fg, [0.0])
+        rep = newton(fg, lambda x: np.array([[float(abs(x[0] - 1e4) <= 1.0)]]), [0.0])
         assert rep.status == CONVERGED
         assert rep.x[0] == pytest.approx(1e4, rel=1e-6)
         assert rep.iterations < 100
 
-    def test_uphill_gradient_stalls_the_line_search(self):
-        # the reported gradient has the wrong sign, so f rises along every
-        # trial step; even the 80th, 2**-79 long, rises by far more than the
-        # float-noise allowance
-        rep = minimize_qn(lambda x: (1e12 * float(x[0]), np.array([-1e12])), [0.0])
-        assert rep.status == ITERATION_CAP
-        assert rep.message == "line search stalled"
-        assert rep.iterations == 0
-        assert rep.x.tolist() == [0.0]
+    def test_infinite_trials_raise_mu_until_a_step_lands(self):
+        # finite only for |x| < 3.5, minimum at 3: the first step divides mu
+        # by 4, so the second trial leaves the region; that rejection
+        # multiplies mu by 4, and the shorter step lands inside
+        trials = []
 
-    def test_nan_away_from_the_start_raises(self):
+        def fg(x):
+            trials.append(float(x[0]))
+            if abs(x[0]) >= 3.5:
+                return np.inf, np.array([np.nan])
+            return float(np.log(np.cosh(x[0] - 3.0))), np.array([np.tanh(x[0] - 3.0)])
+
+        rep = newton(fg, lambda x: np.array([[1.0 / np.cosh(x[0] - 3.0) ** 2]]), [0.0])
+        assert rep.status == CONVERGED
+        assert rep.x[0] == pytest.approx(3.0, abs=1e-8)
+        # trials[0] is the start
+        assert [k for k, t in enumerate(trials) if abs(t) >= 3.5] == [2]
+        assert trials[1] < trials[3] < 3.5 and trials[3] - trials[1] < trials[2] - trials[1]
+
+    def test_uphill_gradient_never_climbs(self):
+        # the reported gradient has the wrong sign, so f rises along every
+        # step; rejections grow mu until the steps fall inside f's float
+        # noise, and f never rises by more than that noise
+        rep = newton(lambda x: (1e12 * float(x[0]), np.array([-1e12])),
+                     constant_hessian(0.0), [0.0])
+        assert rep.status == ITERATION_CAP
+        assert rep.iterations == 500
+        assert 0.0 <= rep.fun < 1e-12
+
+    def test_nan_away_from_the_start_is_never_accepted(self):
         def fg(x):
             if x[0] == 0.0:
                 return 9.0, np.array([-6.0])
             return np.nan, np.array([np.nan])
 
-        with pytest.raises(SolverError, match="non-finite during line search at iteration 0"):
-            minimize_qn(fg, [0.0])
+        rep = newton(fg, constant_hessian(2.0), [0.0])
+        assert rep.status == ITERATION_CAP
+        assert rep.x.tolist() == [0.0]
+        assert rep.fun == 9.0
 
     def test_nan_gradient_at_an_accepted_step_raises(self):
         def fg(x):
             g = 2.0 * (x[0] - 3.0) if x[0] == 0.0 else np.nan
             return float((x[0] - 3.0) ** 2), np.array([g])
 
-        with pytest.raises(SolverError, match="gradient became non-finite at iteration 0"):
-            minimize_qn(fg, [0.0])
+        with pytest.raises(SolverError, match="gradient non-finite at iteration 1"):
+            newton(fg, constant_hessian(2.0), [0.0])
+
+
+SMOOTH_GRIDS = [
+    ("swiss", load_swiss),
+    ("anscombe", load_anscombe),
+    ("hetero-n400", lambda: gen_hetero_normal(SynthConfig(n=400, seed=20660819))),
+    ("pareto-n400", lambda: gen_pareto(SynthConfig(400, 20460819, kind=KIND_PARETO))),
+]
+
+
+class TestMatchesBfgsReference:
+    """The Newton fits against the BFGS loop they replaced, at 99 levels."""
+
+    @pytest.mark.parametrize("method", ["srq", "smrq"])
+    @pytest.mark.parametrize("name,make", SMOOTH_GRIDS, ids=[n for n, _ in SMOOTH_GRIDS])
+    def test_grid(self, name, make, method, monkeypatch):
+        data, grid = make(), TauGrid.from_count(99)
+        mine = fit_grid(data, grid, method)
+        monkeypatch.setattr(estimators, "minimize_qn",
+                            lambda fun_and_grad, hess, x0, scale: bfgs_reference(fun_and_grad, x0))
+        ref = fit_grid(data, grid, method)
+        assert mine.statuses == ref.statuses == [CONVERGED] * 99
+        assert np.array_equal(mine.curve.counts, ref.curve.counts)
+        params = estimators.SMOOTH_PRESETS[method]
+        for tau, b, b_ref in zip(grid, mine.coefficients, ref.coefficients):
+            assert np.abs(b - b_ref).max() <= 1e-6 * max(1.0, np.abs(b_ref).max())
+            # rounding bound of the summed loss: n eps times the size of its
+            # parts, each at most |r| + log(2) / (2c) + |v|
+            parts = np.abs(data.residuals(b_ref)) + np.log(2.0) / (2.0 * params.c) + abs(params.v)
+            noise = data.n_obs * np.finfo(float).eps * parts.sum()
+            assert loss_total(data, b, tau, params) <= loss_total(data, b_ref, tau, params) + noise
 
 
 class TestSimplex:

@@ -70,16 +70,16 @@ _W, _H, _ML, _MR, _MT, _MB = 720, 480, 60, 20, 24, 48
 
 def _manifest(args: argparse.Namespace, seeds: list[int], datasets: list[dict],
               started: float) -> dict:
-    """Everything needed to reproduce a run: flags, seeds, data identity."""
+    """Everything needed to reproduce a run: command, flags, seeds, data identity."""
     config = {}
     for key, value in sorted(vars(args).items()):
-        if key == "func":
+        if key in ("func", "argv"):
             continue
         if isinstance(value, TauGrid):
             value = [float(t) for t in value.values]
         config[key] = list(value) if isinstance(value, (tuple, list)) else value
     return {
-        "command": list(sys.argv),
+        "command": ["smoothrq", *args.argv],
         "config": config,
         "seeds": seeds,
         "datasets": datasets,
@@ -543,8 +543,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.argv = argv  # the manifest's "command", also when main runs in-process
     if getattr(args, "replicates", 1) < 1:
         parser.error("--replicates must be at least 1")
     # smoothrq's own checks report every numeric failure; numpy's warnings

@@ -331,6 +331,17 @@ class TestGrid:
         assert manifest["datasets"][0]["rows"] == 11
         assert "events" in out
 
+    def test_manifest_records_the_parsed_command(self, tmp_path, capsys):
+        # in-process, sys.argv is the host's (["-c"] under python -c), not the command
+        code, out_dir, _, _ = self.run_grid(tmp_path, capsys, extra=["--suppress"])
+        assert code == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["command"][0] == "smoothrq"
+        assert manifest["command"][1:] == ["grid", "--data", "anscombe", "--grid", "9",
+                                           "--methods", "srq,rq", "--out", str(out_dir),
+                                           "--suppress"]
+        assert "argv" not in manifest["config"]
+
     def test_suppressed_columns_interleaved(self, tmp_path, capsys):
         code, out_dir, _, _ = self.run_grid(tmp_path, capsys, extra=["--suppress"])
         assert code == 0

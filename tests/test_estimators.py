@@ -1,6 +1,7 @@
 """Estimator behavior: smooth fits, LP fits, restricted fits, grid driver."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from smoothrq import (
     load_swiss,
     loss_and_grad,
 )
-from smoothrq import estimators
+from smoothrq import estimators, optim
 from smoothrq.datagen import KIND_HETERO_NORMAL, KIND_PARETO, gen_pareto
 from smoothrq.estimators import FIT_GRAD_RTOL, SMOOTH_PRESETS
 from smoothrq.losses import _pinball
@@ -170,8 +171,9 @@ class TestFitSmooth:
         assert calls == []
 
     @pytest.mark.parametrize("ratio", [0.99, 1.01])
-    def test_unconverged_solver_judged_at_fit_tolerance(self, monkeypatch, ratio):
-        # ||beta||_inf = 3, so the fit accepts |grad| up to 3e-6
+    def test_unconverged_solver_always_raises(self, monkeypatch, ratio):
+        # ||beta||_inf = 3, so FIT_GRAD_RTOL's bound is 3e-6; a capped run is
+        # refused on either side of it, since only the solver's test certifies
         beta = np.array([2.0, -3.0])
         grad_norm = ratio * FIT_GRAD_RTOL * 3.0
 
@@ -181,17 +183,39 @@ class TestFitSmooth:
 
         monkeypatch.setattr(estimators, "minimize_qn", capped)
         data = line_dataset([0.0, 1.0, 2.0], [1.0, 3.0, 5.0])
-        if ratio > 1.0:
-            with pytest.raises(SolverError, match=r"smooth fit stalled at tau=0\.3: "
-                                                  r"status=iteration-cap, \|grad\|=3\.030e-06 "
-                                                  r"> 3\.000e-06 after 500 iterations"):
-                fit_smooth(data, 0.3)
-            return
-        fit = fit_smooth(data, 0.3)
-        assert fit.report.status == CONVERGED
-        assert fit.report.message == ("solver stopped with status 'iteration-cap' at "
-                                      "|grad|=2.970e-06; accepted at fit tolerance 3.0e-06")
-        assert fit.beta.tolist() == [2.0, -3.0]
+        with pytest.raises(SolverError, match=rf"^smooth fit stalled at tau=0\.3: "
+                                              rf"status=iteration-cap, \|grad\|="
+                                              rf"{grad_norm:.3e} after 500 iterations$"):
+            fit_smooth(data, 0.3)
+
+    @pytest.mark.parametrize("method", ["srq", "smrq"])
+    def test_rescaled_response_returns_only_certified_levels(self, method):
+        # y x 1e6 makes the loss sharp enough that the zero start stalls at
+        # most levels; every level returned must carry the solver's own
+        # certificate (a looser fit-level test let srq 0.25, 0.30, 0.90 and
+        # smrq 0.30, 0.55, 0.70, 0.80 through at the iteration cap)
+        swiss = load_swiss()
+        data = Dataset(X=swiss.X, y=swiss.y * 1e6, column_names=swiss.column_names,
+                       response_name=swiss.response_name)
+        uncertified = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for tau in TauGrid.from_count(19):
+                try:
+                    fit = fit_smooth(data, tau, SMOOTH_PRESETS[method])
+                except SolverError as exc:
+                    assert str(exc).startswith(f"smooth fit stalled at tau={tau}: ")
+                    continue
+                report = fit.report
+                if not (report.iterations < 500 and report.grad_norm
+                        <= 1e-8 * max(1.0, np.abs(fit.beta).max())):
+                    uncertified.append(round(tau, 2))
+        assert uncertified == []
+
+    def test_solver_tolerance_implies_the_fit_bound(self):
+        # perfbench re-checks every smooth level at FIT_GRAD_RTOL; a converged
+        # solve must always pass that re-check
+        assert optim._GRAD_TOL <= FIT_GRAD_RTOL
 
 
 class TestFitRqLp:
@@ -486,6 +510,10 @@ class TestFitGrid:
             fit_grid(data, [0.5], "ols")
         with pytest.raises(ValueError, match="needs explicit"):
             fit_grid(data, [0.5], "flex")
+        # params shape only flex; any other method would silently drop them
+        for method in ("rq", "srq", "smrq", "rrq"):
+            with pytest.raises(ValueError, match=f"only method 'flex', not '{method}'"):
+                fit_grid(data, [0.5], method, params=FlexCheckParams(c=0.5))
 
     def test_flex_method_runs(self):
         data = intercept_only([1.0, 2.0, 4.0])

@@ -17,7 +17,9 @@ Three routes to a fitted plane at level tau:
   out crossings whenever the fitted scales are positive.
 
 All estimators expect the Dataset convention of an explicit trailing
-intercept column and start smooth fits from the zero vector.
+intercept column.  A smooth fit starts from the least-squares plane with its
+intercept raised to the tau-th order statistic of that plane's residuals, so
+each level's start depends only on the data and tau.
 """
 
 from __future__ import annotations
@@ -177,17 +179,40 @@ class RRQModel:
         return self.med_report.status
 
 
+def _least_squares(data: Dataset) -> np.ndarray:
+    # min-norm least squares, so a rank-deficient design still has a plane
+    return np.linalg.lstsq(data.X, data.y, rcond=None)[0]
+
+
+def _smooth_start(data: Dataset, tau: float) -> np.ndarray:
+    """The least-squares plane, shifted up to the tau-th order statistic.
+
+    The intercept (the last coefficient) is raised by the k-th smallest
+    least-squares residual, k = min(n - 1, floor(tau n)) counted from 0, so
+    about a fraction tau of the points lies below the start.  An order
+    statistic, not an interpolated quantile: the start then passes through
+    a data point, as an rq plane does.
+    """
+    beta = _least_squares(data)
+    k = min(data.n_obs - 1, int(tau * data.n_obs))
+    beta[-1] += np.partition(data.residuals(beta), k)[k]
+    return beta
+
+
 def fit_smooth(data: Dataset, tau: float, params: FlexCheckParams = SRQ) -> QuantileFit:
     """Minimize the smooth check loss at one level.
 
-    Starts from the zero vector and takes damped Newton steps with the exact
-    Hessian, damped along the column norms of X.  Data whose X'X overflows
-    cannot form that system and raise SolverError before any evaluation.
-    A fit is returned only when the solver converged, that is, passed its
-    test ||grad||_inf <= 1e-8 * max(1, ||beta||_inf).  Any other outcome
-    raises SolverError with the diagnostics, as does a ValueError during
-    the solve, such as residuals that overflow.  A tau outside (0, 1)
-    raises ValueError.
+    Starts from the least-squares plane shifted to the tau-th order
+    statistic of its residuals, which depends only on the data and tau, and
+    takes damped Newton steps with the exact Hessian, damped along the
+    column norms of X.  Data whose X'X overflows cannot form that system
+    and raise SolverError before any evaluation.  A fit is returned only
+    when the solver converged, that is, passed its tests at beta:
+    ||grad||_inf <= 1e-8 * max(1, ||beta||_inf), a positive definite
+    Hessian, and half the Newton decrement at most 1e-12 (1 + |f|).  Any
+    other outcome raises SolverError with the diagnostics, as does a
+    ValueError during the solve, such as residuals that overflow.  A tau
+    outside (0, 1) raises ValueError.
     """
     tau = _check_tau(tau)
     col_sq = (data.X * data.X).sum(axis=0)
@@ -196,7 +221,8 @@ def fit_smooth(data: Dataset, tau: float, params: FlexCheckParams = SRQ) -> Quan
     try:
         report = minimize_qn(lambda b: loss_and_grad(data, b, tau, params),
                              lambda b: hess_total(data, b, params),
-                             np.zeros(data.n_coef), np.sqrt(np.where(col_sq > 0, col_sq, 1.0)))
+                             _smooth_start(data, tau),
+                             np.sqrt(np.where(col_sq > 0, col_sq, 1.0)))
     except ValueError as exc:
         raise SolverError(f"smooth fit failed at tau={tau}: {exc}") from exc
     if report.status != CONVERGED:
@@ -291,8 +317,7 @@ def fit_rq_lp(data: Dataset, tau: float) -> QuantileFit:
         raise SolverError(
             f"quantile LP with n={n}, p={p} needs a {tableau_mb:.0f} MiB simplex "
             f"tableau; the dense simplex is limited to {_MAX_TABLEAU_MB} MiB")
-    # min-norm least squares, so a rank-deficient design still has a start
-    start = np.linalg.lstsq(data.X, data.y, rcond=None)[0]
+    start = _least_squares(data)
     A = np.zeros((n, 2 * n + 2 * p), order="F")  # the tableau's layout
     A[:, :p] = data.X
     A[:, p:2 * p] = -data.X
@@ -426,8 +451,9 @@ def fit_grid(data: Dataset, tau_grid, method: str,
     This is the one place a method name picks its fitting routine and loss:
     rq is the exact LP, srq and smrq the smooth fit with their preset shape,
     flex the smooth fit with params, and rrq the restricted family.  Grid
-    entries are fitted in increasing tau order, each smooth level from the
-    zero vector.  A level whose solver raises SolverError is recorded as
+    entries are fitted in increasing tau order, each smooth level from its
+    own start (see fit_smooth), so a level's fit does not depend on the rest
+    of the grid.  A level whose solver raises SolverError is recorded as
     FAILED plus the message and left as a NaN coefficient row, and the
     remaining levels still run; an rrq failure fails every level of the
     family.  The count curve is attached only when every level produced

@@ -284,6 +284,22 @@ class TestFit:
         assert out.splitlines()[0] == "method: flex"
         assert "objective_smooth[c=5,h=0,s=0.5,v=0]" in out
 
+    @pytest.mark.parametrize("method, flags", [
+        ("srq", []), ("smrq", []), ("flex", ["--c", "5", "--h", "0", "--s", "0.5", "--v", "0"])])
+    def test_fit_prints_its_grid_row(self, tmp_path, capsys, method, flags):
+        code, _, _ = run_cli(["grid", "--data", "swiss", "--grid", "9", "--methods", method,
+                              *flags, "--out", str(tmp_path)], capsys)
+        assert code == 0
+        for row in (tmp_path / "coefficients.tsv").read_text().splitlines()[1:]:
+            _, tau, *coefs = row.split("\t")
+            code, out, _ = run_cli(["fit", "--data", "swiss", "--tau", tau,
+                                    "--method", method, *flags], capsys)
+            assert code == 0
+            lines = out.splitlines()
+            k = lines.index("coefficients:")
+            assert [l.split()[-1] for l in lines[k + 1:k + 1 + len(coefs)]] == [
+                cli._fmt(float(v)) for v in coefs]
+
     def test_rrq_fit_reports_plane(self, tmp_path, capsys):
         path = write_line_csv(tmp_path / "d.csv")
         code, out, _ = run_cli(["fit", "--data", path, "--response", "y",

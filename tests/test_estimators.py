@@ -22,6 +22,7 @@ from smoothrq import (
     load_anscombe,
     load_swiss,
     loss_and_grad,
+    loss_total,
 )
 from smoothrq import estimators, optim
 from smoothrq.datagen import KIND_HETERO_NORMAL, KIND_PARETO, gen_pareto
@@ -211,6 +212,70 @@ class TestFitSmooth:
                         <= 1e-8 * max(1.0, np.abs(fit.beta).max())):
                     uncertified.append(round(tau, 2))
         assert uncertified == []
+
+    @pytest.mark.parametrize("scale", [1e6, 1e9])
+    @pytest.mark.parametrize("method", ["srq", "smrq"])
+    def test_rescaled_response_returns_only_honest_levels(self, method, scale):
+        # at a minimum the smooth objective cannot exceed its value at the
+        # same level's rq plane; from the zero start and without the
+        # decrement test, every level at y x 1e9 was returned above it
+        swiss = load_swiss()
+        data = Dataset(X=swiss.X, y=swiss.y * scale, column_names=swiss.column_names,
+                       response_name=swiss.response_name)
+        params = SMOOTH_PRESETS[method]
+        above = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for tau in TauGrid.from_count(19):
+                try:
+                    fit = fit_smooth(data, tau, params)
+                except SolverError as exc:
+                    assert str(exc).startswith(f"smooth fit stalled at tau={tau}: ")
+                    continue
+                at_rq = loss_total(data, fit_rq_lp(data, tau).beta, tau, params)
+                if loss_total(data, fit.beta, tau, params) > at_rq + 1e-12 * abs(at_rq):
+                    above.append(round(tau, 2))
+        assert above == []
+
+    @pytest.mark.parametrize("size", [1e30, 1e300])
+    def test_response_far_beyond_the_predictors_fails_by_name(self, size):
+        # every residual stays near +-size while the gradient is a constant
+        # 0.2; the gradient test alone accepted this at beta of about -7.6e7
+        k = np.arange(8)
+        data = line_dataset(1.0 + 0.1 * k, (-1.0) ** k * (1.0 + 0.05 * k) * size)
+        with pytest.raises(SolverError, match=r"^smooth fit stalled at tau=0\.5: "):
+            fit_smooth(data, 0.5)
+
+    @pytest.mark.parametrize("method", ["srq", "smrq"])
+    def test_every_level_carries_its_decrement(self, method):
+        data = load_swiss()
+        for tau in TauGrid.from_count(99):
+            report = fit_smooth(data, tau, SMOOTH_PRESETS[method]).report
+            assert 0.0 <= report.decrement <= 1e-12 * (1.0 + abs(report.fun))
+
+    def test_lp_reports_carry_no_decrement(self):
+        assert fit_rq_lp(load_swiss(), 0.5).report.decrement is None
+
+    @pytest.mark.parametrize("method", ["srq", "smrq", "flex"])
+    def test_fit_equals_its_grid_row_bit_for_bit(self, method):
+        # each level starts from a plane of its own data and tau, never from
+        # a neighbouring level
+        data = load_swiss()
+        params = FlexCheckParams(c=5.0) if method == "flex" else None
+        grid = TauGrid.from_count(19)
+        rows = fit_grid(data, grid, method, params=params).coefficients
+        for tau, row in zip(grid, rows):
+            fit = fit_smooth(data, tau, params or SMOOTH_PRESETS[method])
+            assert fit.beta.tobytes() == row.tobytes()
+
+    def test_start_is_the_shifted_least_squares_plane(self):
+        data = load_swiss()
+        ls = np.linalg.lstsq(data.X, data.y, rcond=None)[0]
+        r = data.residuals(ls)
+        for tau, k in ((0.01, 0), (0.5, 23), (0.99, 46)):
+            start = estimators._smooth_start(data, tau)
+            assert np.array_equal(start[:-1], ls[:-1])
+            assert start[-1] == ls[-1] + np.sort(r)[k]
 
     def test_solver_tolerance_implies_the_fit_bound(self):
         # perfbench re-checks every smooth level at FIT_GRAD_RTOL; a converged
@@ -591,6 +656,16 @@ class TestSmoothGridWork:
         assert result.statuses == [CONVERGED] * 99
         assert 0 < calls["loss_and_grad"] <= 1400
         assert 0 < calls["hess_total"] <= 1250
+
+    def test_swiss_srq_grid_evaluations(self, monkeypatch):
+        # from the shifted least-squares start, 3,140 evaluations; from the
+        # zero vector it took 7,280
+        calls = []
+        monkeypatch.setattr(estimators, "loss_and_grad",
+                            lambda *args: calls.append(None) or loss_and_grad(*args))
+        result = fit_grid(load_swiss(), TauGrid.from_count(99), "srq")
+        assert result.statuses == [CONVERGED] * 99
+        assert len(calls) <= 3300
 
 
 class TestObjectiveConsistency:

@@ -19,8 +19,10 @@ from smoothrq import (
     fit_rrq,
     gen_hetero_normal,
     gen_pareto,
+    hess_total,
     load_anscombe,
     load_swiss,
+    loss_and_grad,
     loss_total,
     minimize_qn,
     solve_lp_simplex,
@@ -408,6 +410,43 @@ class TestMinimizeQN:
 
         with pytest.raises(SolverError, match="gradient non-finite at iteration 1"):
             newton(fg, constant_hessian(2.0), [0.0])
+
+    def test_decrement_certifies_a_distant_minimum(self):
+        # f = 1e-12 (x - 3e6)^2: once |x| passes about 600, the gradient test
+        # 1e-8 * |x| accepts any point while f is still near 9; the decrement
+        # g^2 / (2 H) is f - min f itself, so the run goes on to the minimum
+        def fg(x):
+            z = x[0] - 3e6
+            return 1e-12 * z * z, np.array([2e-12 * z])
+
+        rep = newton(fg, constant_hessian(2e-12), [0.0])
+        assert rep.status == CONVERGED
+        assert rep.x[0] == pytest.approx(3e6, abs=1.0)
+        assert rep.fun <= 1e-12
+        assert rep.decrement == pytest.approx(0.5 * rep.grad_norm ** 2 / 2e-12, rel=1e-12)
+
+    def test_saddle_point_is_never_converged(self):
+        # the gradient vanishes at the start, but H is indefinite there
+        rep = newton(lambda x: (float(x[0] ** 2 - x[1] ** 2), np.array([2 * x[0], -2 * x[1]])),
+                     constant_hessian(np.diag([2.0, -2.0])), [0.0, 0.0])
+        assert rep.status == ITERATION_CAP
+        assert rep.x.tolist() == [0.0, 0.0]
+        assert rep.grad_norm == 0.0
+        assert rep.decrement == np.inf
+
+    def test_steps_through_an_objective_rounded_past_the_noise_allowance(self):
+        # srq at tau = 0.05 on Pareto data, from fit_smooth's start: f = 0.0876
+        # sums 400 cancelling terms near 10, so it rounds by about 2.7e-15,
+        # above the allowance 1e-15 (1 + |f|).  Had every step the model
+        # predicts within the allowance needed f not to rise beyond it, the
+        # run would reject them all from iteration 7 to the cap, with
+        # ||grad||_inf stuck at 6.6e-7; a step that lowers ||grad||_inf lands
+        data = gen_pareto(SynthConfig(400, 20660822, kind=KIND_PARETO))
+        rep = minimize_qn(lambda b: loss_and_grad(data, b, 0.05), lambda b: hess_total(data, b),
+                          estimators._smooth_start(data, 0.05),
+                          np.sqrt((data.X * data.X).sum(axis=0)))
+        assert rep.status == CONVERGED
+        assert rep.iterations <= 20
 
 
 SMOOTH_GRIDS = [

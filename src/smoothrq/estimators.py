@@ -20,6 +20,12 @@ All estimators expect the Dataset convention of an explicit trailing
 intercept column.  A smooth fit starts from the least-squares plane with its
 intercept raised to the tau-th order statistic of that plane's residuals, so
 each level's start depends only on the data and tau.
+
+Every fit follows one failure rule, _certified: once tau has passed its
+check, a level is returned only with finite coefficients and a finite
+objective, and any ValueError or SolverError raised while solving it
+becomes one SolverError that names the fit and tau=.  fit_rrq follows it
+through fit_rq_lp.
 """
 
 from __future__ import annotations
@@ -179,13 +185,14 @@ class RRQModel:
         return self.med_report.status
 
 
-def _least_squares(data: Dataset) -> np.ndarray:
-    # min-norm least squares, so a rank-deficient design still has a plane
-    return np.linalg.lstsq(data.X, data.y, rcond=None)[0]
+def _least_squares(data: Dataset) -> tuple[np.ndarray, int]:
+    """The min-norm least-squares plane, so a rank-deficient design has one, and X's rank."""
+    beta, _, rank, _ = np.linalg.lstsq(data.X, data.y, rcond=None)
+    return beta, int(rank)
 
 
-def _smooth_start(data: Dataset, tau: float) -> np.ndarray:
-    """The least-squares plane, shifted up to the tau-th order statistic.
+def _smooth_start(data: Dataset, tau: float) -> tuple[np.ndarray, int]:
+    """The least-squares plane, shifted up to the tau-th order statistic, and X's rank.
 
     The intercept (the last coefficient) is raised by the k-th smallest
     least-squares residual, k = min(n - 1, floor(tau n)) counted from 0, so
@@ -193,10 +200,26 @@ def _smooth_start(data: Dataset, tau: float) -> np.ndarray:
     statistic, not an interpolated quantile: the start then passes through
     a data point, as an rq plane does.
     """
-    beta = _least_squares(data)
+    beta, rank = _least_squares(data)
     k = min(data.n_obs - 1, int(tau * data.n_obs))
     beta[-1] += np.partition(data.residuals(beta), k)[k]
-    return beta
+    return beta, rank
+
+
+def _certified(fit_name: str, tau: float, solve) -> QuantileFit:
+    """The failure rule: solve()'s fit if it is finite, else one named SolverError.
+
+    A non-finite fit, and any ValueError or SolverError solve() raises,
+    become SolverError "<fit_name> failed at tau=<tau>: <reason>".
+    """
+    try:
+        fit = solve()
+    except (ValueError, SolverError) as exc:
+        raise SolverError(f"{fit_name} failed at tau={tau}: {exc}") from exc
+    if not (np.isfinite(fit.beta).all() and np.isfinite(fit.report.fun)):
+        raise SolverError(f"{fit_name} failed at tau={tau}: objective {fit.report.fun} "
+                          "or a coefficient is not finite")
+    return fit
 
 
 def fit_smooth(data: Dataset, tau: float, params: FlexCheckParams = SRQ) -> QuantileFit:
@@ -205,30 +228,46 @@ def fit_smooth(data: Dataset, tau: float, params: FlexCheckParams = SRQ) -> Quan
     Starts from the least-squares plane shifted to the tau-th order
     statistic of its residuals, which depends only on the data and tau, and
     takes damped Newton steps with the exact Hessian, damped along the
-    column norms of X.  Data whose X'X overflows cannot form that system
-    and raise SolverError before any evaluation.  A fit is returned only
+    column norms of X.  On a rank-deficient X the objective is constant
+    along null(X), so the Hessian is singular there; the solver then sees
+    trace(H)/p times the projector onto null(X) added to it, which changes
+    no fitted value.  The rank comes from the start's least-squares solve,
+    so a full-rank fit does no extra factorization.  A fit is returned only
     when the solver converged, that is, passed its tests at beta:
     ||grad||_inf <= 1e-8 * max(1, ||beta||_inf), a positive definite
-    Hessian, and half the Newton decrement at most 1e-12 (1 + |f|).  Any
-    other outcome raises SolverError with the diagnostics, as does a
-    ValueError during the solve, such as residuals that overflow.  A tau
+    Hessian, and half the Newton decrement at most 1e-12 (1 + |f|); a run
+    that does not raises SolverError "smooth fit stalled at tau=...".  Under
+    the module's failure rule, data whose X'X overflows, which cannot form
+    the Newton system, and a solve that raises, as on residuals that
+    overflow, raise SolverError "smooth fit failed at tau=...".  A tau
     outside (0, 1) raises ValueError.
     """
     tau = _check_tau(tau)
-    col_sq = (data.X * data.X).sum(axis=0)
-    if not np.isfinite(col_sq).all():
-        raise SolverError(f"smooth fit failed at tau={tau}: X'X overflows the float range")
-    try:
-        report = minimize_qn(lambda b: loss_and_grad(data, b, tau, params),
-                             lambda b: hess_total(data, b, params),
-                             _smooth_start(data, tau),
-                             np.sqrt(np.where(col_sq > 0, col_sq, 1.0)))
-    except ValueError as exc:
-        raise SolverError(f"smooth fit failed at tau={tau}: {exc}") from exc
+    fit = _certified("smooth fit", tau, lambda: _solve_smooth(data, tau, params))
+    report = fit.report
     if report.status != CONVERGED:
         raise SolverError(f"smooth fit stalled at tau={tau}: status={report.status}, "
                           f"|grad|={report.grad_norm:.3e} after {report.iterations} iterations")
-    return QuantileFit(tau=float(tau), beta=report.x, report=report)
+    return fit
+
+
+def _solve_smooth(data: Dataset, tau: float, params: FlexCheckParams) -> QuantileFit:
+    col_sq = (data.X * data.X).sum(axis=0)
+    if not np.isfinite(col_sq).all():
+        raise SolverError("X'X overflows the float range")
+    start, rank = _smooth_start(data, tau)
+    proj = None
+    if rank < data.n_coef:  # X'X's eigenvectors of its p - rank least eigenvalues
+        null = np.linalg.eigh(data.X.T @ data.X)[1][:, :data.n_coef - rank]
+        proj = null @ null.T
+
+    def hess(b):
+        H = hess_total(data, b, params)
+        return H if proj is None else H + np.trace(H) / data.n_coef * proj
+
+    report = minimize_qn(lambda b: loss_and_grad(data, b, tau, params), hess, start,
+                         np.sqrt(np.where(col_sq > 0, col_sq, 1.0)))
+    return QuantileFit(tau=tau, beta=report.x, report=report)
 
 
 def _refine_vertex(data: Dataset, beta: np.ndarray, tau: float) -> np.ndarray:
@@ -307,17 +346,23 @@ def fit_rq_lp(data: Dataset, tau: float) -> QuantileFit:
     basic coefficient column is ignored; entering it only shifts b+ and b-
     together and leaves their difference unchanged.
 
-    An LP whose dense tableau would exceed 128 MiB (n above about 2890 rows)
-    raises SolverError before anything is allocated.
+    Under the module's failure rule, an LP whose dense tableau would exceed
+    128 MiB (n above about 2890 rows), refused before anything is
+    allocated, an LP without an optimum, and a right-hand side or an
+    objective that overflows all raise SolverError "quantile LP failed at
+    tau=...".  A tau outside (0, 1) raises ValueError.
     """
     tau = _check_tau(tau)
+    return _certified("quantile LP", tau, lambda: _solve_rq_lp(data, tau))
+
+
+def _solve_rq_lp(data: Dataset, tau: float) -> QuantileFit:
     n, p = data.X.shape
     tableau_mb = n * (2 * n + 2 * p + 1) * 8 / 2 ** 20
     if tableau_mb > _MAX_TABLEAU_MB:
-        raise SolverError(
-            f"quantile LP with n={n}, p={p} needs a {tableau_mb:.0f} MiB simplex "
-            f"tableau; the dense simplex is limited to {_MAX_TABLEAU_MB} MiB")
-    start = _least_squares(data)
+        raise SolverError(f"n={n}, p={p} needs a {tableau_mb:.0f} MiB simplex tableau; "
+                          f"the dense simplex is limited to {_MAX_TABLEAU_MB} MiB")
+    start, _ = _least_squares(data)
     A = np.zeros((n, 2 * n + 2 * p), order="F")  # the tableau's layout
     A[:, :p] = data.X
     A[:, p:2 * p] = -data.X
@@ -331,7 +376,7 @@ def fit_rq_lp(data: Dataset, tau: float) -> QuantileFit:
     )
     lp = solve_lp_simplex(problem)
     if lp.x is None:
-        raise SolverError(f"quantile LP failed at tau={tau}: {lp.status} ({lp.message})")
+        raise SolverError(f"{lp.status} ({lp.message})")
     beta = start + (lp.x[:p] - lp.x[p:2 * p])
     beta = _refine_vertex(data, beta, tau)
 

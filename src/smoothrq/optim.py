@@ -100,9 +100,9 @@ class SolveReport:
     because the slack basis the LP solver requires is already feasible.
     grad_norm and decrement are filled by minimize_qn: decrement is half the
     Newton decrement g'H^-1 g at x, an estimate of f(x) - min f, and inf when
-    the Hessian there is not positive definite.  zero_rc_columns is filled by
-    the LP solver (indices of non-basic columns with zero reduced cost at the
-    optimum).
+    the Hessian there is not positive definite or the decrement is past the
+    float range.  zero_rc_columns is filled by the LP solver (indices of
+    non-basic columns with zero reduced cost at the optimum).
     """
 
     x: np.ndarray | None
@@ -129,17 +129,22 @@ def minimize_qn(fun_and_grad, hess, x0, scale) -> SolveReport:
     rounding exceeds the allowance.  mu starts at 1, is divided by 4 after a
     fall of at least 0.75 of the prediction (or a step accepted within the
     noise) and multiplied by 4 after a rejected step; a non-finite trial
-    objective is a rejected step.  The Hessian is evaluated at every
-    accepted point, the last included.  The run converges when three tests
-    hold there: ||grad||_inf <= 1e-8 * max(1, ||x||_inf), H is positive
-    definite, and half the Newton decrement, g'H^-1 g / 2, is at most
-    1e-12 (1 + |f|).  The decrement estimates f - min f and does not change
-    when x is rescaled (Boyd & Vandenberghe 2004, sec. 9.5.1), so it still
-    certifies the fit where the gradient test, which grows with ||x||, does
-    not.  It comes free from the eigenpairs the step already uses.  A
-    non-finite objective, gradient or Hessian at the start (iteration 0) or
-    at an accepted step aborts with SolverError.  After 500 trial steps, one
-    objective evaluation each, the run stops with "iteration-cap".
+    objective is a rejected step.  So is a trial where H + mu D^2 is not
+    positive definite, lambda_min + mu <= 0 for the least eigenvalue of
+    D^-1 H D^-1: it evaluates nothing and only raises mu, so no step
+    divides by a non-positive lambda + mu.  The Hessian is evaluated at
+    every accepted point, the last included.  The run converges when three
+    tests hold there: ||grad||_inf <= 1e-8 * max(1, ||x||_inf), H is
+    positive definite, and half the Newton decrement, g'H^-1 g / 2, is at
+    most 1e-12 (1 + |f|).  The decrement estimates f - min f and does not
+    change when x is rescaled (Boyd & Vandenberghe 2004, sec. 9.5.1), so it
+    still certifies the fit where the gradient test, which grows with
+    ||x||, does not.  It comes free from the eigenpairs the step already
+    uses, and one past the float range reads inf, as on an indefinite H.
+    A non-finite objective, gradient or Hessian at the start (iteration 0)
+    or at an accepted step aborts with SolverError.  After 500 trial steps,
+    at most one objective evaluation each, the run stops with
+    "iteration-cap".
     Everything is deterministic.  The quasi-Newton name stays while the
     benchmark's tracer wraps the solver by it (ROADMAP item 2).
     """
@@ -162,13 +167,16 @@ def minimize_qn(fun_and_grad, hess, x0, scale) -> SolveReport:
             a = (g * inv_scale) @ V
             V *= inv_scale[:, None]
             g_norm = np.abs(g).max(initial=0.0)
-            decrement = 0.5 * float(a @ (a / lam)) if lam.min(initial=1.0) > 0.0 else math.inf
             if (g_norm <= _GRAD_TOL * max(1.0, np.abs(x).max(initial=0.0))
-                    and decrement <= _DECREMENT_TOL * (1.0 + abs(f))):
+                    and _half_decrement(a, lam) <= _DECREMENT_TOL * (1.0 + abs(f))):
                 status = CONVERGED
                 break
         if it == _QN_MAX_ITER:
             break
+        if lam[0] + mu <= 0.0:  # a rejected trial; eigh's eigenvalues ascend
+            accepted = False
+            mu *= 4.0
+            continue
         w = a / (lam + mu)
         predicted = float(w @ (a - 0.5 * lam * w))
         x_t = x - V @ w
@@ -186,7 +194,15 @@ def minimize_qn(fun_and_grad, hess, x0, scale) -> SolveReport:
         x, f, g = x_t, f_t, g_t
 
     return SolveReport(x=x, fun=f, iterations=it, status=status,
-                       grad_norm=float(g_norm), decrement=decrement)
+                       grad_norm=float(g_norm), decrement=_half_decrement(a, lam))
+
+
+def _half_decrement(a: np.ndarray, lam: np.ndarray) -> float:
+    """g'H^-1 g / 2 = sum(a_k^2 / lam_k) / 2 in H's scaled eigenbasis; inf unless H > 0."""
+    if lam.min(initial=1.0) <= 0.0:
+        return math.inf
+    with np.errstate(over="ignore"):  # past the float range it reads inf and fails its test
+        return 0.5 * float(a @ (a / lam))
 
 
 def solve_lp_simplex(problem: LPProblem) -> SolveReport:

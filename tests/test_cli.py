@@ -44,6 +44,14 @@ def write_overflow_csv(path):
     return str(path)
 
 
+def write_huge_csv(path):
+    # four rows with y = +-1.7e308: the residuals from any plane through
+    # them, and the right-hand side of the rq LP, lie past the float range
+    rows = ["x,y"] + [f"{float(i)!r},{(-1.0) ** i * 1.7e308!r}" for i in range(4)]
+    path.write_text("\n".join(rows) + "\n")
+    return str(path)
+
+
 class TestFlagValidation:
     def test_flex_requires_shape_flags(self):
         assert exit_code(["fit", "--data", "anscombe", "--tau", "0.5",
@@ -274,6 +282,17 @@ class TestFit:
         assert out == ""
         assert err == "error: smooth fit failed at tau=0.5: X'X overflows the float range\n"
 
+    def test_overflowing_rq_fit_exits_4(self, tmp_path, capsys):
+        path = write_huge_csv(tmp_path / "huge.csv")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning would print on stderr
+            code, out, err = run_cli(["fit", "--data", path, "--response", "y",
+                                      "--tau", "0.5", "--method", "rq"], capsys)
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: quantile LP failed at tau=0.5: ")
+        assert err.count("\n") == 1
+
     def test_flex_fit_runs(self, tmp_path, capsys):
         path = write_line_csv(tmp_path / "d.csv")
         code, out, _ = run_cli(["fit", "--data", path, "--response", "y",
@@ -441,6 +460,23 @@ class TestGrid:
         assert len(failures) == 9
         assert all(line.startswith("  srq: failed: smooth fit failed at tau=")
                    and line.endswith(": X'X overflows the float range") for line in failures)
+
+    def test_overflowing_levels_fail_by_name_and_tsvs_are_written(self, tmp_path, capsys):
+        path = write_huge_csv(tmp_path / "huge.csv")
+        out_dir = tmp_path / "huge"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning would print on stderr
+            code, out, err = run_cli(["grid", "--data", path, "--response", "y", "--grid", "9",
+                                      "--methods", "rq,rrq,srq", "--out", str(out_dir)], capsys)
+        assert code == 4
+        for name in ("counts.tsv", "events.tsv", "coefficients.tsv"):
+            assert (out_dir / name).exists()
+        assert out.endswith(f"wrote counts.tsv, events.tsv, coefficients.tsv to {out_dir}\n")
+        lines = err.splitlines()
+        assert lines[0] == "solver failures:"
+        failures = lines[1:]
+        assert {line.split(":")[0] for line in failures} == {"  rq", "  rrq", "  srq"}
+        assert all("tau=" in line for line in failures)
 
     def test_failed_level_exits_4(self, tmp_path, capsys, monkeypatch):
         def broken(data, tau_grid, method, params=None):

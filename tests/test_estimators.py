@@ -246,6 +246,48 @@ class TestFitSmooth:
         with pytest.raises(SolverError, match=r"^smooth fit stalled at tau=0\.5: "):
             fit_smooth(data, 0.5)
 
+    @pytest.mark.parametrize("make, scale, method, m, stalled", [
+        # at tau = 0.8 the scaled Hessian's least eigenvalue rounds to -2**-54
+        # once mu has fallen to 2**-54, so lam + mu is 0
+        (load_anscombe, 1e3, "srq", 19, [0.8]),
+        # a tiny positive eigenvalue, where a / lam overflows in the decrement
+        (lambda: gen_hetero_normal(SynthConfig(n=400, seed=20660819)), 1e12, "smrq", 9, []),
+    ], ids=["anscombe-1e3-srq", "hetero-n400-1e12-smrq"])
+    def test_rescaled_grids_never_divide_past_the_float_range(self, make, scale, method, m,
+                                                              stalled):
+        base = make()
+        data = Dataset(X=base.X, y=base.y * scale, column_names=base.column_names,
+                       response_name=base.response_name)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = fit_grid(data, TauGrid.from_count(m), method)
+        failed = [(tau, status) for tau, status in zip(out.taus.tolist(), out.statuses)
+                  if status != CONVERGED]
+        assert [tau for tau, _ in failed] == stalled
+        assert all(status.startswith(f"{estimators.FAILED}smooth fit stalled at tau={tau}: ")
+                   for tau, status in failed)
+
+    @pytest.mark.parametrize("make, extra", [
+        (load_anscombe, lambda x: 0.0 * x),
+        (load_anscombe, lambda x: x),
+        (lambda: gen_hetero_normal(SynthConfig(n=100, seed=3)), lambda x: 2.0 * x),
+    ], ids=["anscombe-x-0-1", "anscombe-x-x-1", "hetero-n100-x-2x-1"])
+    @pytest.mark.parametrize("method", ["srq", "smrq"])
+    def test_rank_deficient_design_fits_every_level(self, make, extra, method):
+        # the objective is constant along null(X), where the Hessian is
+        # singular and its least eigenvalue lands at +-rounding; every level
+        # still converges, to the fitted values of the full-rank design
+        data = make()
+        x = data.X[:, 0]
+        wide = Dataset(X=np.column_stack([x, extra(x), data.X[:, 1]]), y=data.y,
+                       column_names=("x", "z", "intercept"), response_name="y")
+        grid = TauGrid.from_count(19)
+        out = fit_grid(wide, grid, method)
+        assert out.statuses == [CONVERGED] * 19
+        expected = data.X @ fit_grid(data, grid, method).coefficients.T
+        fitted = wide.X @ out.coefficients.T
+        assert np.abs(fitted - expected).max() <= 2e-8 * np.abs(expected).max()
+
     @pytest.mark.parametrize("method", ["srq", "smrq"])
     def test_every_level_carries_its_decrement(self, method):
         data = load_swiss()
@@ -273,7 +315,8 @@ class TestFitSmooth:
         ls = np.linalg.lstsq(data.X, data.y, rcond=None)[0]
         r = data.residuals(ls)
         for tau, k in ((0.01, 0), (0.5, 23), (0.99, 46)):
-            start = estimators._smooth_start(data, tau)
+            start, rank = estimators._smooth_start(data, tau)
+            assert rank == data.n_coef
             assert np.array_equal(start[:-1], ls[:-1])
             assert start[-1] == ls[-1] + np.sort(r)[k]
 
@@ -378,6 +421,17 @@ class TestFitRqLp:
             best = classic_total(data, res.x[:p] - res.x[p:2 * p], tau)
             mine = classic_total(data, beta, tau)
             assert abs(mine - best) <= 1e-9 * max(1.0, abs(best)), tau
+
+    @pytest.mark.parametrize("tau", [0.1, 0.5, 0.9])
+    def test_objective_past_the_float_range_fails_by_name(self, tau):
+        # every coefficient is finite, but the pinball sum of 400 residuals
+        # near 1e306 is not: the level was reported converged with fun = inf
+        base = gen_hetero_normal(SynthConfig(n=400, seed=20660819))
+        data = Dataset(X=base.X, y=base.y * 3.24e306, column_names=base.column_names,
+                       response_name=base.response_name)
+        with np.errstate(all="ignore"):
+            with pytest.raises(SolverError, match=rf"^quantile LP failed at tau={tau}: "):
+                fit_rq_lp(data, tau)
 
 
 class TestFitRrq:
@@ -618,6 +672,19 @@ class TestFitGrid:
         assert out.statuses == [estimators.FAILED + "synthetic rq failure"] * 3
         assert np.isnan(out.coefficients).all()
         assert out.curve is None
+
+    def test_overflowing_response_fails_every_method_by_name(self):
+        # at y x 1.5e307 rq raised ValueError out of fit_grid, and the smooth
+        # solver's own errors reached the statuses without their tau
+        base = load_anscombe()
+        data = Dataset(X=base.X, y=base.y * 1.5e307, column_names=base.column_names,
+                       response_name=base.response_name)
+        for method in ("rq", "rrq", "srq", "smrq"):
+            with np.errstate(all="ignore"):
+                out = fit_grid(data, TauGrid.from_count(19), method)
+            failed = [s.startswith(estimators.FAILED) for s in out.statuses]
+            assert all("tau=" in s for s, bad in zip(out.statuses, failed) if bad), method
+            assert np.isfinite(out.coefficients[~np.array(failed)]).all(), method
 
     def test_rq_grid_statuses_recorded(self):
         out = fit_grid(intercept_only([1.0, 2.0]), [0.5], "rq")

@@ -1,6 +1,7 @@
 """Solver behavior: damped Newton descent, slack-basis simplex, the quantile LP's start."""
 
 import tracemalloc
+import warnings
 from functools import partial
 
 import numpy as np
@@ -434,6 +435,34 @@ class TestMinimizeQN:
         assert rep.grad_norm == 0.0
         assert rep.decrement == np.inf
 
+    def test_singular_damped_system_is_a_rejected_trial(self):
+        # a stationary point with H = diag(-1, 1): at mu = 1, H + mu I is
+        # singular and a / (lam + mu) would divide 0 by 0.  That trial is
+        # rejected unevaluated, so only the mu = 4 trials call the objective
+        calls = []
+
+        def fg(x):
+            calls.append(None)
+            return 0.5 * float(x[1] ** 2 - x[0] ** 2), np.array([-x[0], x[1]])
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = newton(fg, constant_hessian(np.diag([-1.0, 1.0])), [0.0, 0.0])
+        assert rep.status == ITERATION_CAP
+        assert rep.x.tolist() == [0.0, 0.0]
+        assert len(calls) == 1 + optim._QN_MAX_ITER // 2
+
+    def test_decrement_past_the_float_range_reads_inf(self, monkeypatch):
+        # at x = 0 the gradient test holds, and H = 1e-320 is positive but so
+        # small that g^2 / H = 1e-20 / 1e-320 lies past the float range
+        monkeypatch.setattr(optim, "_QN_MAX_ITER", 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = newton(lambda x: (1e-10 * float(x[0]), np.array([1e-10])),
+                         constant_hessian(1e-320), [0.0])
+        assert rep.status == ITERATION_CAP
+        assert rep.decrement == np.inf
+
     def test_steps_through_an_objective_rounded_past_the_noise_allowance(self):
         # srq at tau = 0.05 on Pareto data, from fit_smooth's start: f = 0.0876
         # sums 400 cancelling terms near 10, so it rounds by about 2.7e-15,
@@ -443,7 +472,7 @@ class TestMinimizeQN:
         # ||grad||_inf stuck at 6.6e-7; a step that lowers ||grad||_inf lands
         data = gen_pareto(SynthConfig(400, 20660822, kind=KIND_PARETO))
         rep = minimize_qn(lambda b: loss_and_grad(data, b, 0.05), lambda b: hess_total(data, b),
-                          estimators._smooth_start(data, 0.05),
+                          estimators._smooth_start(data, 0.05)[0],
                           np.sqrt((data.X * data.X).sum(axis=0)))
         assert rep.status == CONVERGED
         assert rep.iterations <= 20

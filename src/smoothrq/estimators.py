@@ -7,25 +7,28 @@ Three routes to a fitted plane at level tau:
   so the family of solutions moves continuously in tau.
 * fit_rq_lp minimizes the classic pinball loss exactly, as the linear
   program  min tau*sum(u) + (1-tau)*sum(v)  s.t.
-  X(b+ - b-) + u - v = y - X beta_ls,  all variables nonnegative, with
-  beta = beta_ls + b+ - b-.  beta_ls is the least-squares plane, so the
+  X(b+ - b-) + u - v = y - X beta_0,  all variables nonnegative, with
+  beta = beta_0 + b+ - b-.  beta_0 is the level's start (below), so the
   simplex's slack basis starts there rather than at beta = 0, and only the
-  points on the wrong side of that plane need pivots.
+  points on the wrong side of that plane need pivots.  The simplex pivots
+  in place on the one constraint matrix the fit builds.
 * fit_rrq fits one median plane and one median scale plane, then restricts
   every other quantile to the pencil beta_med + c * gamma, choosing the
   scalar c per tau.  All planes share the two fitted directions, which rules
   out crossings whenever the fitted scales are positive.
 
 All estimators expect the Dataset convention of an explicit trailing
-intercept column.  A smooth fit starts from the least-squares plane with its
-intercept raised to the tau-th order statistic of that plane's residuals, so
-each level's start depends only on the data and tau.
+intercept column.  An rq or smooth fit starts from the least-squares plane
+with its intercept raised to the tau-th order statistic of that plane's
+residuals, so each level's start depends only on the data and tau.
 
 Every fit follows one failure rule, _certified: once tau has passed its
 check, a level is returned only with finite coefficients and a finite
 objective, and any ValueError or SolverError raised while solving it
-becomes one SolverError that names the fit and tau=.  fit_rrq follows it
-through fit_rq_lp.
+becomes one SolverError that names the fit and tau=.  The solve runs with
+numpy's overflow, invalid and divide warnings off, since the rule checks
+what they would warn of.  fit_rrq follows it through fit_rq_lp, and its
+direction steps fail by tau when their least objective is not finite.
 """
 
 from __future__ import annotations
@@ -78,8 +81,8 @@ _MAX_LEVELS = 100_000
 
 # fit_rq_lp refuses an LP whose dense simplex tableau, n x (2n + 2p + 1)
 # doubles, would exceed this many MiB: n=2000 at p=10 takes 61 MiB, n=5000
-# would take 381 MiB, and a fit holds the constraint matrix, one column
-# smaller, next to the tableau
+# would take 381 MiB.  A fit holds one such matrix, the constraint matrix
+# the simplex pivots in place, one column smaller
 _MAX_TABLEAU_MB = 128
 
 
@@ -185,35 +188,34 @@ class RRQModel:
         return self.med_report.status
 
 
-def _least_squares(data: Dataset) -> tuple[np.ndarray, int]:
-    """The min-norm least-squares plane, so a rank-deficient design has one, and X's rank."""
-    beta, _, rank, _ = np.linalg.lstsq(data.X, data.y, rcond=None)
-    return beta, int(rank)
+def _fit_start(data: Dataset, tau: float) -> tuple[np.ndarray, int]:
+    """The start of every rq and smooth fit at level tau, and X's rank.
 
-
-def _smooth_start(data: Dataset, tau: float) -> tuple[np.ndarray, int]:
-    """The least-squares plane, shifted up to the tau-th order statistic, and X's rank.
-
-    The intercept (the last coefficient) is raised by the k-th smallest
-    least-squares residual, k = min(n - 1, floor(tau n)) counted from 0, so
-    about a fraction tau of the points lies below the start.  An order
-    statistic, not an interpolated quantile: the start then passes through
-    a data point, as an rq plane does.
+    The start is the min-norm least-squares plane, so a rank-deficient
+    design has one, with its intercept (the last coefficient) raised by the
+    k-th smallest least-squares residual, k = min(n - 1, floor(tau n))
+    counted from 0, so about a fraction tau of the points lies below it.
+    An order statistic, not an interpolated quantile: the start then passes
+    through a data point, as an rq plane does.
     """
-    beta, rank = _least_squares(data)
+    beta, _, rank, _ = np.linalg.lstsq(data.X, data.y, rcond=None)
     k = min(data.n_obs - 1, int(tau * data.n_obs))
     beta[-1] += np.partition(data.residuals(beta), k)[k]
-    return beta, rank
+    return beta, int(rank)
 
 
 def _certified(fit_name: str, tau: float, solve) -> QuantileFit:
     """The failure rule: solve()'s fit if it is finite, else one named SolverError.
 
     A non-finite fit, and any ValueError or SolverError solve() raises,
-    become SolverError "<fit_name> failed at tau=<tau>: <reason>".
+    become SolverError "<fit_name> failed at tau=<tau>: <reason>".  solve()
+    runs without numpy's overflow, invalid and divide warnings: every value
+    they would flag is non-finite, so it fails here or, inside the Newton
+    solver, as a rejected trial.
     """
     try:
-        fit = solve()
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            fit = solve()
     except (ValueError, SolverError) as exc:
         raise SolverError(f"{fit_name} failed at tau={tau}: {exc}") from exc
     if not (np.isfinite(fit.beta).all() and np.isfinite(fit.report.fun)):
@@ -255,7 +257,7 @@ def _solve_smooth(data: Dataset, tau: float, params: FlexCheckParams) -> Quantil
     col_sq = (data.X * data.X).sum(axis=0)
     if not np.isfinite(col_sq).all():
         raise SolverError("X'X overflows the float range")
-    start, rank = _smooth_start(data, tau)
+    start, rank = _fit_start(data, tau)
     proj = None
     if rank < data.n_coef:  # X'X's eigenvectors of its p - rank least eigenvalues
         null = np.linalg.eigh(data.X.T @ data.X)[1][:, :data.n_coef - rank]
@@ -325,17 +327,22 @@ def _best_interval_endpoint(data: Dataset, beta: np.ndarray, tau: float) -> np.n
 def fit_rq_lp(data: Dataset, tau: float) -> QuantileFit:
     """Exact pinball-loss fit via the simplex method.
 
-    The LP is posed in the offset from the min-norm least-squares plane
-    beta_ls:  X(b+ - b-) + u - v = y - X beta_ls,  beta = beta_ls + b+ - b-.
-    Its slack basis (b+ = b- = 0, residuals in u and v) is then the
-    least-squares plane, which already splits the points roughly as the fit
-    will, so only the points on the wrong side of it need pivots.  From
-    beta = 0, every positive response lies above the start, and each point
-    that ends below the fit costs about two pivots.  The optimal vertex's
-    plane is solved again from the rows it interpolates and the original y,
-    so wherever that re-solve applies the coefficients do not depend on the
-    start.  Where it does not, as on duplicate rows, they can differ from a
-    zero start in the last bits, or land on another optimal vertex of equal
+    The LP is posed in the offset from the level's start beta_0, the
+    min-norm least-squares plane with its intercept raised to the tau-th
+    order statistic of its residuals (_fit_start, which fit_smooth shares):
+    X(b+ - b-) + u - v = y - X beta_0,  beta = beta_0 + b+ - b-.  Its slack
+    basis (b+ = b- = 0, residuals in u and v) is then that plane, which
+    already has about a fraction tau of the points below it, as the fit
+    will, so only the points on the wrong side of it need pivots.  The
+    unshifted plane splits the points about evenly and costs more pivots
+    away from the median; from beta = 0, every positive response lies above
+    the start, and each point that ends below the fit costs about two
+    pivots.  The constraint matrix is built once, in Fortran order, and the
+    simplex pivots in place on it.  The optimal vertex's plane is solved
+    again from the rows it interpolates and the original y, so wherever
+    that re-solve applies the coefficients do not depend on the start.
+    Where it does not, as on duplicate rows, they can differ from another
+    start in the last bits, or land on another optimal vertex of equal
     objective.
 
     The reported objective is the pinball loss re-evaluated at the returned
@@ -362,8 +369,8 @@ def _solve_rq_lp(data: Dataset, tau: float) -> QuantileFit:
     if tableau_mb > _MAX_TABLEAU_MB:
         raise SolverError(f"n={n}, p={p} needs a {tableau_mb:.0f} MiB simplex tableau; "
                           f"the dense simplex is limited to {_MAX_TABLEAU_MB} MiB")
-    start, _ = _least_squares(data)
-    A = np.zeros((n, 2 * n + 2 * p), order="F")  # the tableau's layout
+    start, _ = _fit_start(data, tau)
+    A = np.zeros((n, 2 * n + 2 * p), order="F")  # the layout the simplex pivots in
     A[:, :p] = data.X
     A[:, p:2 * p] = -data.X
     rows = np.arange(n)
@@ -440,7 +447,11 @@ class _DirectionSteps:
                 if values[j] > tol(min(values.values())):
                     break
                 j += step
-        bound = tol(min(values.values()))
+        least = min(values.values())
+        if not np.isfinite(least):
+            raise SolverError(f"rrq direction step failed at tau={tau}: "
+                              f"least objective {least} is not finite")
+        bound = tol(least)
         flat = [j for j, g in values.items() if g <= bound]
         lo, hi = float(self.cands[min(flat)]), float(self.cands[max(flat)])
         return min(max(0.0, lo), hi)
@@ -455,7 +466,8 @@ def fit_rrq(data: Dataset, tau_grid) -> RRQModel:
     (a row with zero scale adds a constant in c), from breakpoints sorted
     once for the whole grid.  If all scales vanish the family collapses to
     the median plane (c = 0 everywhere) and the homoscedastic_degenerate
-    flag is raised.
+    flag is raised.  A level whose least objective along the pencil is not
+    finite raises SolverError "rrq direction step failed at tau=...".
     """
     grid = TauGrid.coerce(tau_grid)
     med = fit_rq_lp(data, 0.5)
@@ -472,10 +484,12 @@ def fit_rrq(data: Dataset, tau_grid) -> RRQModel:
     c = np.zeros(len(grid))
     if not degenerate:
         moving = s != 0
-        step = _DirectionSteps(r[moving], s[moving])
-        for k, tau in enumerate(grid):
-            if tau != 0.5:  # c stays 0 at the median anchor itself
-                c[k] = step(tau)
+        # as under the failure rule: a step whose objective overflows fails by tau
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            step = _DirectionSteps(r[moving], s[moving])
+            for k, tau in enumerate(grid):
+                if tau != 0.5:  # c stays 0 at the median anchor itself
+                    c[k] = step(tau)
 
     return RRQModel(
         taus=grid.values.copy(),

@@ -7,15 +7,16 @@ with reproducible behavior:
   convex objectives with an exact Hessian, which scales its damping by the
   diagonal D the caller passes.  Identical inputs produce bit-identical
   outputs.
-* solve_lp_simplex: primal simplex on a dense tableau using Bland's
-  anti-cycling rule, reporting optimum multiplicity when a non-basic column
-  has zero reduced cost.  It starts from a slack basis and has no phase 1:
-  once each row is scaled so its right-hand side is nonnegative, every row
-  must own a unit column (one nonzero entry, equal to 1), as the quantile LP
-  [X, -X, I, -I] always does.  A problem without one raises ValueError.
-  A pivot updates only the columns where its pivot row is nonzero, so on an
-  m-row tableau it costs O(m*k) for a row with k nonzeros, plus O(m + n)
-  for choosing the pivot.  For the quantile LP, k is at most 4p + 3.
+* solve_lp_simplex: primal simplex using Bland's anti-cycling rule, which
+  pivots in place on the problem's dense constraint matrix and reports
+  optimum multiplicity when a non-basic column has zero reduced cost.  It
+  starts from a slack basis and has no phase 1: once each row is scaled so
+  its right-hand side is nonnegative, every row must own a unit column (one
+  nonzero entry, equal to 1), as the quantile LP [X, -X, I, -I] always
+  does.  A problem without one raises ValueError.  A pivot updates only the
+  columns where its pivot row is nonzero, so on an m-row matrix it costs
+  O(m*k) for a row with k nonzeros, plus O(m + n) for choosing the pivot.
+  For the quantile LP, k is at most 4p + 2.
 """
 
 from __future__ import annotations
@@ -70,7 +71,9 @@ class LPProblem:
 
     solve_lp_simplex needs a slack basis: after rows with b < 0 are negated,
     every row must have a unit column, one with a single nonzero entry of 1
-    in that row.
+    in that row.  A is kept in Fortran order, without a copy when it is
+    already a Fortran-order float array, and the solver pivots in place on
+    it: a problem is solved once.
     """
 
     c: np.ndarray
@@ -79,7 +82,8 @@ class LPProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "c", np.asarray(self.c, dtype=float).ravel())
-        object.__setattr__(self, "A", np.atleast_2d(np.asarray(self.A, dtype=float)))
+        object.__setattr__(self, "A", np.asfortranarray(np.atleast_2d(
+            np.asarray(self.A, dtype=float))))
         object.__setattr__(self, "b", np.asarray(self.b, dtype=float).ravel())
         m, n = self.A.shape
         if self.c.shape[0] != n:
@@ -208,8 +212,11 @@ def _half_decrement(a: np.ndarray, lam: np.ndarray) -> float:
 def solve_lp_simplex(problem: LPProblem) -> SolveReport:
     """Solve an equality-form LP by the primal simplex method with Bland's rule.
 
-    Rows with a negative right-hand side are negated first.  The lowest-index
-    unit column of each row then enters the starting basis, which is feasible
+    The solve pivots in place on problem.A, which it leaves as the final
+    tableau, and keeps the right-hand side as a vector of its own, so it
+    allocates no second matrix; a problem is solved once.  Rows with a
+    negative right-hand side are negated first.  The lowest-index unit
+    column of each row then enters the starting basis, which is feasible
     because the right-hand side is nonnegative; a row without a unit column
     raises ValueError before any pivot.  A pivot scales and eliminates only
     the k columns where the pivot row is nonzero: O(m*k) work for m rows,
@@ -219,27 +226,26 @@ def solve_lp_simplex(problem: LPProblem) -> SolveReport:
     optima and flips the status to "degenerate-multiple"; the indices are
     reported in zero_rc_columns.
     """
-    c = problem.c
-    m, n = problem.A.shape
-    # the tableau carries the rhs in its last column; Fortran order, so the
-    # columns a pivot gathers come out Fortran-ordered and their transpose is
-    # C-contiguous for the rank-1 update
-    T = np.empty((m, n + 1), order="F")
-    T[:, :n] = problem.A
-    T[:, n] = problem.b
+    # LPProblem keeps A in Fortran order, so the columns a pivot gathers come
+    # out Fortran-ordered and their transpose is C-contiguous for the rank-1
+    # update
+    c, A = problem.c, problem.A
+    m, n = A.shape
     # scale in place: a boolean-indexed row update would gather a copy of
-    # those rows, strided across the Fortran-order tableau
-    T *= np.where(problem.b < 0, -1.0, 1.0)[:, None]
+    # those rows, strided across the Fortran-order matrix
+    sign = np.where(problem.b < 0, -1.0, 1.0)
+    A *= sign[:, None]
+    rhs = problem.b * sign
     cost_scale = max(1.0, float(np.abs(c).max()) if n else 1.0)
 
     # a unit column has one nonzero entry, a 1; each row takes its lowest.
     # Only boolean and index arrays are built here: a gathered float copy of
-    # the unit columns would be as large as the tableau
+    # the unit columns would be as large as A
     basis = np.full(m, -1, dtype=int)
     if m:
         cols = np.arange(n)
-        rows = np.argmax(T[:, :n] != 0.0, axis=0)  # first nonzero row of each column
-        unit = (np.count_nonzero(T[:, :n], axis=0) == 1) & (T[rows, cols] == 1.0)
+        rows = np.argmax(A != 0.0, axis=0)  # first nonzero row of each column
+        unit = (np.count_nonzero(A, axis=0) == 1) & (A[rows, cols] == 1.0)
         owned, first = np.unique(rows[unit], return_index=True)
         basis[owned] = cols[unit][first]
     missing = np.nonzero(basis < 0)[0]
@@ -247,7 +253,7 @@ def solve_lp_simplex(problem: LPProblem) -> SolveReport:
         raise ValueError(f"row {int(missing[0])} has no unit column; "
                          "solve_lp_simplex needs a slack basis")
 
-    z = c - c[basis] @ T[:, :-1]  # reduced costs of the structural columns
+    z = c - c[basis] @ A  # reduced costs
     enter_tol = 1e-9 * cost_scale
     fac = np.empty(m)
     ratios = np.empty(m)
@@ -258,44 +264,47 @@ def solve_lp_simplex(problem: LPProblem) -> SolveReport:
         if eligible.size == 0:
             break
         q = int(eligible[0])  # Bland: lowest eligible index enters
-        col = T[:, q]
+        col = A[:, q]
         pos = col > 1e-10
         if not pos.any():
             return SolveReport(None, None, it, UNBOUNDED, "objective decreases without bound")
         ratios.fill(np.inf)
-        np.divide(T[:, -1], col, out=ratios, where=pos)
+        np.divide(rhs, col, out=ratios, where=pos)
         rmin = ratios.min()
         ties = np.nonzero(ratios <= rmin + 1e-12 * (1.0 + abs(rmin)))[0]
         r = int(ties[np.argmin(basis[ties])])  # Bland: lowest basic index leaves
         # entry (i, j) loses row_j * fac_i, so a column with a zero in the pivot
         # row would only lose +-0: the pivot touches only the row's nonzero
-        # columns (q among them), with the arithmetic the whole tableau would get
-        nz = T[r].nonzero()[0]
-        touched = T[:, nz]
-        touched[r] /= T[r, q]
-        row = touched[r].copy()
-        fac[:] = T[:, q]
+        # columns (q among them), and the rhs only when its entry is nonzero,
+        # with the arithmetic the whole tableau would get
+        pivot = A[r, q]
+        fac[:] = col
         fac[r] = 0.0
+        nz = A[r].nonzero()[0]
+        touched = A[:, nz]
+        touched[r] /= pivot
+        row = touched[r].copy()
         if work.shape[0] < nz.size:
             work = np.empty((nz.size, m))
         outer = np.multiply.outer(row, fac, out=work[:nz.size])
         np.subtract(touched.T, outer, out=touched.T)
-        T[:, nz] = touched
-        k = nz.size - (int(nz[-1]) == n)  # the structural columns among nz
-        z[nz[:k]] -= z[q] * row[:k]
+        A[:, nz] = touched
+        if rhs[r] != 0.0:
+            rhs[r] /= pivot
+            rhs -= rhs[r] * fac
+        z[nz] -= z[q] * row
         z[q] = 0.0
         basis[r] = q
         # sweep out rounding drift so the ratio test stays valid
-        rhs = T[:, -1]
         rhs[(rhs < 0.0) & (rhs > -1e-9)] = 0.0
         it += 1
     else:
         return SolveReport(None, None, it, ITERATION_CAP, "pivot cap reached")
 
     x = np.zeros(n)
-    x[basis] = T[:, -1]
+    x[basis] = rhs
     objective = float(c @ x)
-    z_final = c - c[basis] @ T[:, :-1]
+    z_final = c - c[basis] @ A
     nonbasic = np.setdiff1d(np.arange(n), basis)
     zero_rc = tuple(int(j) for j in nonbasic if abs(z_final[j]) <= 1e-9 * cost_scale)
     status = DEGENERATE_MULTIPLE if zero_rc else CONVERGED

@@ -15,6 +15,7 @@ from smoothrq import (
     SynthConfig,
     TauGrid,
     classic_total,
+    count_below,
     fit_grid,
     fit_rq_lp,
     fit_rrq,
@@ -133,24 +134,29 @@ def beale_problem():
     return LPProblem(c=c, A=A, b=[0.0, 0.0, 1.0])
 
 
-def quantile_lp(data, tau):
+def quantile_lp(data, tau, start=None):
+    """The quantile LP for beta itself, or for the offset from start."""
     n, p = data.X.shape
     eye = np.eye(n)
     return LPProblem(c=np.concatenate([np.zeros(2 * p), np.full(n, tau), np.full(n, 1.0 - tau)]),
-                     A=np.hstack([data.X, -data.X, eye, -eye]), b=data.y)
+                     A=np.hstack([data.X, -data.X, eye, -eye]),
+                     b=data.y if start is None else data.y - data.X @ start)
 
 
-def zero_start_fit(data, tau):
-    """fit_rq_lp as it was before the least-squares start.
+def offset_fit(data, tau, start=None):
+    """fit_rq_lp with its LP posed as the offset from start, or for beta itself.
 
-    The LP is solved for beta itself, so the slack basis starts it at
-    beta = 0; the vertex refinement and the status rule are fit_rq_lp's.
+    The slack basis starts the simplex at start, or at beta = 0 when start
+    is None; the vertex refinement and the status rule are fit_rq_lp's.
     """
     p = data.n_coef
-    lp = solve_lp_simplex(quantile_lp(data, tau))
+    lp = solve_lp_simplex(quantile_lp(data, tau, start))
     if lp.x is None:
         raise SolverError(f"quantile LP failed at tau={tau}: {lp.status}")
-    beta = estimators._refine_vertex(data, lp.x[:p] - lp.x[p:2 * p], tau)
+    beta = lp.x[:p] - lp.x[p:2 * p]
+    if start is not None:
+        beta = start + beta
+    beta = estimators._refine_vertex(data, beta, tau)
     zero_rc = set(lp.zero_rc_columns)
     genuine = any(j >= 2 * p for j in zero_rc) or any(
         k in zero_rc and k + p in zero_rc for k in range(p))
@@ -160,6 +166,16 @@ def zero_start_fit(data, tau):
                          status=DEGENERATE_MULTIPLE if genuine else CONVERGED,
                          zero_rc_columns=lp.zero_rc_columns)
     return estimators.QuantileFit(tau=tau, beta=beta, report=report)
+
+
+def zero_start_fit(data, tau):
+    """fit_rq_lp as it was before the least-squares start: from beta = 0."""
+    return offset_fit(data, tau)
+
+
+def least_squares_start_fit(data, tau):
+    """fit_rq_lp as it was before the tau-shifted start: from the least-squares plane."""
+    return offset_fit(data, tau, np.linalg.lstsq(data.X, data.y, rcond=None)[0])
 
 
 def integer_grid_data(seed, n=30):
@@ -192,7 +208,11 @@ QUANTILE_DATA = [
 
 
 def assert_same_solve(problem):
-    mine, ref = solve_lp_simplex(problem), dense_reference_simplex(problem)
+    # solve_lp_simplex pivots in place on A, so each solver gets its own problem
+    def own():
+        return LPProblem(c=problem.c, A=problem.A.copy(order="F"), b=problem.b)
+
+    mine, ref = solve_lp_simplex(own()), dense_reference_simplex(own())
     assert mine.status == ref.status
     assert mine.iterations == ref.iterations
     assert mine.zero_rc_columns == ref.zero_rc_columns
@@ -472,7 +492,7 @@ class TestMinimizeQN:
         # ||grad||_inf stuck at 6.6e-7; a step that lowers ||grad||_inf lands
         data = gen_pareto(SynthConfig(400, 20660822, kind=KIND_PARETO))
         rep = minimize_qn(lambda b: loss_and_grad(data, b, 0.05), lambda b: hess_total(data, b),
-                          estimators._smooth_start(data, 0.05)[0],
+                          estimators._fit_start(data, 0.05)[0],
                           np.sqrt((data.X * data.X).sum(axis=0)))
         assert rep.status == CONVERGED
         assert rep.iterations <= 20
@@ -787,7 +807,7 @@ def text(beta):
 
 
 class TestLeastSquaresStart:
-    """fit_rq_lp solves for the offset from the least-squares plane.
+    """fit_rq_lp solves for the offset from a plane fitted to the data.
 
     zero_start_fit solves the same LP from beta = 0; both must reach the
     same planes, while the start saves most of the pivots.
@@ -796,11 +816,17 @@ class TestLeastSquaresStart:
     @pytest.mark.parametrize("make, levels", [(m, k) for _, m, k in ZERO_START_DATA],
                              ids=[n for n, _, _ in ZERO_START_DATA])
     def test_planes_match_zero_start(self, make, levels):
+        # where the optimum is not unique, the two starts may stop at
+        # different optimal vertices, of equal objective and equal count
         data = make()
         for tau in TauGrid.from_count(levels):
             fit, ref = fit_rq_lp(data, tau), zero_start_fit(data, tau)
-            assert text(fit.beta) == text(ref.beta), tau
             assert fit.report.status == ref.report.status, tau
+            if fit.report.status == DEGENERATE_MULTIPLE:
+                assert abs(fit.report.fun - ref.report.fun) <= 1e-12 * abs(ref.report.fun), tau
+                assert count_below(data, fit.beta) == count_below(data, ref.beta), tau
+            else:
+                assert text(fit.beta) == text(ref.beta), tau
 
     def test_rrq_family_matches_zero_start(self, rrq_n1000):
         model, ref = rrq_n1000
@@ -837,3 +863,39 @@ class TestLeastSquaresStart:
             assert res.status == 0, res.message
             best = classic_total(data, res.x[:p] - res.x[p:2 * p], tau)
             assert abs(fit.report.fun - best) <= 1e-9 * max(1.0, abs(best)), tau
+
+
+SHIFTED_START_DATA = [
+    ("swiss", load_swiss),
+    ("anscombe", load_anscombe),
+    ("hetero-n400", lambda: gen_hetero_normal(SynthConfig(n=400, seed=20660819))),
+    ("pareto-n400", lambda: gen_pareto(SynthConfig(400, 20460819, kind=KIND_PARETO))),
+]
+
+
+class TestShiftedStart:
+    """fit_rq_lp starts at the least-squares plane shifted to the tau-th residual.
+
+    least_squares_start_fit solves the same LP from the unshifted plane, the
+    start the shift replaced.  Both reach the same optima; the shifted start
+    needs far fewer pivots away from the median.
+    """
+
+    @pytest.mark.parametrize("make", [m for _, m in SHIFTED_START_DATA],
+                             ids=[n for n, _ in SHIFTED_START_DATA])
+    def test_matches_least_squares_start(self, make):
+        data = make()
+        grid = TauGrid.from_count(99)
+        fits = [fit_rq_lp(data, tau) for tau in grid]
+        refs = [least_squares_start_fit(data, tau) for tau in grid]
+        for tau, fit, ref in zip(grid, fits, refs):
+            assert abs(fit.report.fun - ref.report.fun) <= 1e-12 * abs(ref.report.fun), tau
+            assert fit.report.status == ref.report.status, tau
+            if fit.report.status != DEGENERATE_MULTIPLE:
+                assert text(fit.beta) == text(ref.beta), tau
+        planes = np.array([f.beta for f in fits])
+        ref_planes = np.array([f.beta for f in refs])
+        assert np.array_equal(count_below(data, planes), count_below(data, ref_planes))
+        pivots = sum(f.report.iterations for f in fits)
+        ref_pivots = sum(f.report.iterations for f in refs)
+        assert 2 * pivots <= ref_pivots, (pivots, ref_pivots)

@@ -50,9 +50,11 @@ NEGATIVE = "negative"
 MIN_EVENT_LEVELS = 3
 # repair passes suppress_events makes before it reports non-convergence
 _SUPPRESS_PASSES = 3
-# count_below predicts this many planes at a time, so a stack of m planes
-# holds a 64 x n block of predictions rather than the whole m x n
+# count_below predicts at most 64 planes at a time, and no more than fit
+# in 2**21 doubles (16 MiB), so a stack of m planes holds one such block of
+# predictions rather than the whole m x n
 _COUNT_BLOCK = 64
+_COUNT_BLOCK_DOUBLES = 2 ** 21
 
 
 class Event(NamedTuple):
@@ -143,8 +145,10 @@ def count_below(data: Dataset, beta):
     array of m counts.  Each plane is predicted by its own matrix-vector
     product, so a stacked count equals the per-plane counts bit for bit even
     when a plane passes within an ulp of a data point.  Planes are predicted
-    64 at a time, so memory stays O(64 n) for any m.  A plane with a NaN
-    or infinite coefficient, such as a failed level's row, raises DataError.
+    in blocks of up to 64, fewer when 64 would take more than 2**21 doubles
+    (16 MiB), so for any m the predictions held stay within 16 MiB, or one
+    plane's n doubles past n = 2**21.  A plane with a NaN or infinite
+    coefficient, such as a failed level's row, raises DataError.
     """
     beta = np.asarray(beta, dtype=float)
     betas = np.atleast_2d(beta)
@@ -155,8 +159,9 @@ def count_below(data: Dataset, beta):
     if not finite.all():
         raise DataError(f"plane row {int(np.argmin(finite))} has a non-finite coefficient")
     counts = np.empty(len(betas), dtype=int)
-    for i in range(0, len(betas), _COUNT_BLOCK):
-        block = betas[i:i + _COUNT_BLOCK, :, None]
+    planes = max(1, min(_COUNT_BLOCK, _COUNT_BLOCK_DOUBLES // data.n_obs))
+    for i in range(0, len(betas), planes):
+        block = betas[i:i + planes, :, None]
         counts[i:i + len(block)] = (data.y < (data.X @ block)[:, :, 0]).sum(axis=1)
     return int(counts[0]) if beta.ndim < 2 else counts
 

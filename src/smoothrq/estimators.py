@@ -20,20 +20,20 @@ Three routes to a fitted plane at level tau:
 All estimators expect the Dataset convention of an explicit trailing
 intercept column.  An rq or smooth fit starts from the least-squares plane
 with its intercept raised to the tau-th order statistic of that plane's
-residuals, so each level's start depends only on the data and tau.
+residuals, so each level's start depends only on the data and tau.  The
+exact fits, fit_rq_lp and fit_rrq, first lift a response smaller than 1 to
+unit size (_lift).
 
-Every fit follows one failure rule, _certified: once tau has passed its
-check, a level is returned only with finite coefficients and a finite
-objective, and any ValueError or SolverError raised while solving it
-becomes one SolverError that names the fit and tau=.  The solve runs with
-numpy's overflow, invalid and divide warnings off, since the rule checks
-what they would warn of.  fit_rrq follows it through fit_rq_lp, and its
-direction steps fail by tau when their least objective is not finite.
+Every level of every fit, one rq or smooth fit or one rrq direction step,
+is decided by one failure rule, _failure_rule: it is returned certified,
+with finite coefficients and a finite objective, or it fails as one
+SolverError "<fit> failed at tau=<tau>: <reason>".
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -204,24 +204,47 @@ def _fit_start(data: Dataset, tau: float) -> tuple[np.ndarray, int]:
     return beta, int(rank)
 
 
-def _certified(fit_name: str, tau: float, solve) -> QuantileFit:
-    """The failure rule: solve()'s fit if it is finite, else one named SolverError.
+def _lift(data: Dataset) -> tuple[Dataset, int]:
+    """data with its response scaled by 2**lift into max|y| in [1, 2), and lift.
 
-    A non-finite fit, and any ValueError or SolverError solve() raises,
-    become SolverError "<fit_name> failed at tau=<tau>: <reason>".  solve()
-    runs without numpy's overflow, invalid and divide warnings: every value
-    they would flag is non-finite, so it fails here or, inside the Newton
-    solver, as a rejected trial.
+    The exact fits' tolerances (the simplex's tie window, _refine_vertex's
+    guard, the rrq step's tie tolerance and degeneracy floor) assume a
+    response of about unit size.  A power of two scales exactly, so a fit of
+    the lifted response times 2**-lift is a fit of data.  A response with
+    max|y| >= 1, or y = 0, gives data itself and lift = 0.
+    """
+    top = float(np.abs(data.y).max())
+    if not 0.0 < top < 1.0:
+        return data, 0
+    lift = 1 - int(np.frexp(top)[1])
+    return replace(data, y=np.ldexp(data.y, lift)), lift
+
+
+@contextmanager
+def _failure_rule(fit_name: str, tau: float):
+    """The failure rule: a level leaves this block certified, or as one named SolverError.
+
+    Each rq and smooth fit and each rrq direction step computes its level in
+    this block, after tau's check, and raises the reason when the level is
+    not certified: finite coefficients and a finite objective and, for a
+    smooth fit, a run the Newton solver certified.  Any ValueError or
+    SolverError raised in the block leaves as SolverError
+    "<fit_name> failed at tau=<tau>: <reason>".  numpy's overflow, invalid
+    and divide warnings are off in it: every value they flag is non-finite,
+    so it fails a check or, in the Newton solver, is a rejected trial.
     """
     try:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            fit = solve()
+            yield
     except (ValueError, SolverError) as exc:
         raise SolverError(f"{fit_name} failed at tau={tau}: {exc}") from exc
-    if not (np.isfinite(fit.beta).all() and np.isfinite(fit.report.fun)):
-        raise SolverError(f"{fit_name} failed at tau={tau}: objective {fit.report.fun} "
-                          "or a coefficient is not finite")
-    return fit
+
+
+def _finite_fit(tau: float, report: SolveReport) -> QuantileFit:
+    """The level's fit at report.x, if it and the objective are finite (the failure rule)."""
+    if not (np.isfinite(report.x).all() and np.isfinite(report.fun)):
+        raise SolverError(f"objective {report.fun} or a coefficient is not finite")
+    return QuantileFit(tau=tau, beta=report.x, report=report)
 
 
 def fit_smooth(data: Dataset, tau: float, params: FlexCheckParams = SRQ) -> QuantileFit:
@@ -237,39 +260,37 @@ def fit_smooth(data: Dataset, tau: float, params: FlexCheckParams = SRQ) -> Quan
     so a full-rank fit does no extra factorization.  A fit is returned only
     when the solver converged, that is, passed its tests at beta:
     ||grad||_inf <= 1e-8 * max(1, ||beta||_inf), a positive definite
-    Hessian, and half the Newton decrement at most 1e-12 (1 + |f|); a run
-    that does not raises SolverError "smooth fit stalled at tau=...".  Under
-    the module's failure rule, data whose X'X overflows, which cannot form
-    the Newton system, and a solve that raises, as on residuals that
-    overflow, raise SolverError "smooth fit failed at tau=...".  A tau
-    outside (0, 1) raises ValueError.
+    Hessian, and half the Newton decrement at most 1e-12 (1 + |f|).  A small
+    response is not lifted as in the exact fits, since c is in units of 1/y.
+
+    Under the module's failure rule (_failure_rule) a level fails as
+    "smooth fit failed at tau=...: <reason>": a run the solver did not
+    certify ("stalled, status=..., |grad|=... after N iterations"), X'X
+    that overflows, and a solve that raises.  A tau outside (0, 1) raises
+    ValueError.
     """
     tau = _check_tau(tau)
-    fit = _certified("smooth fit", tau, lambda: _solve_smooth(data, tau, params))
-    report = fit.report
-    if report.status != CONVERGED:
-        raise SolverError(f"smooth fit stalled at tau={tau}: status={report.status}, "
-                          f"|grad|={report.grad_norm:.3e} after {report.iterations} iterations")
-    return fit
+    with _failure_rule("smooth fit", tau):
+        col_sq = (data.X * data.X).sum(axis=0)
+        if not np.isfinite(col_sq).all():
+            raise SolverError("X'X overflows the float range")
+        start, rank = _fit_start(data, tau)
+        proj = None
+        if rank < data.n_coef:  # X'X's eigenvectors of its p - rank least eigenvalues
+            null = np.linalg.eigh(data.X.T @ data.X)[1][:, :data.n_coef - rank]
+            proj = null @ null.T
 
+        def hess(b):
+            H = hess_total(data, b, params)
+            return H if proj is None else H + np.trace(H) / data.n_coef * proj
 
-def _solve_smooth(data: Dataset, tau: float, params: FlexCheckParams) -> QuantileFit:
-    col_sq = (data.X * data.X).sum(axis=0)
-    if not np.isfinite(col_sq).all():
-        raise SolverError("X'X overflows the float range")
-    start, rank = _fit_start(data, tau)
-    proj = None
-    if rank < data.n_coef:  # X'X's eigenvectors of its p - rank least eigenvalues
-        null = np.linalg.eigh(data.X.T @ data.X)[1][:, :data.n_coef - rank]
-        proj = null @ null.T
-
-    def hess(b):
-        H = hess_total(data, b, params)
-        return H if proj is None else H + np.trace(H) / data.n_coef * proj
-
-    report = minimize_qn(lambda b: loss_and_grad(data, b, tau, params), hess, start,
-                         np.sqrt(np.where(col_sq > 0, col_sq, 1.0)))
-    return QuantileFit(tau=tau, beta=report.x, report=report)
+        report = minimize_qn(lambda b: loss_and_grad(data, b, tau, params), hess, start,
+                             np.sqrt(np.where(col_sq > 0, col_sq, 1.0)))
+        fit = _finite_fit(tau, report)
+        if report.status != CONVERGED:
+            raise SolverError(f"stalled, status={report.status}, |grad|={report.grad_norm:.3e} "
+                              f"after {report.iterations} iterations")
+        return fit
 
 
 def _refine_vertex(data: Dataset, beta: np.ndarray, tau: float) -> np.ndarray:
@@ -339,69 +360,69 @@ def fit_rq_lp(data: Dataset, tau: float) -> QuantileFit:
     the start, and each point that ends below the fit costs about two
     pivots.  The constraint matrix is built once, in Fortran order, and the
     simplex pivots in place on it.  The optimal vertex's plane is solved
-    again from the rows it interpolates and the original y, so wherever
+    again from the rows it interpolates and the response, so wherever
     that re-solve applies the coefficients do not depend on the start.
     Where it does not, as on duplicate rows, they can differ from another
     start in the last bits, or land on another optimal vertex of equal
     objective.
 
-    The reported objective is the pinball loss re-evaluated at the returned
-    coefficients.  The status is "degenerate-multiple" when the LP optimum
-    admits alternative solutions that actually move the coefficient vector:
-    a zero-reduced-cost non-basic residual column, or a (b+, b-) pair both
-    non-basic at zero reduced cost.  A zero reduced cost on the mirror of a
-    basic coefficient column is ignored; entering it only shifts b+ and b-
-    together and leaves their difference unchanged.
+    A response with 0 < max|y| < 1 is solved lifted to unit size (_lift)
+    and the coefficients are scaled back.  That does not cover a response
+    whose size is set by a few large values.
 
-    Under the module's failure rule, an LP whose dense tableau would exceed
-    128 MiB (n above about 2890 rows), refused before anything is
-    allocated, an LP without an optimum, and a right-hand side or an
-    objective that overflows all raise SolverError "quantile LP failed at
-    tau=...".  A tau outside (0, 1) raises ValueError.
+    The reported objective is the pinball loss re-evaluated at the returned
+    coefficients, on data.  The status is "degenerate-multiple" when the LP
+    optimum admits alternative solutions that actually move the coefficient
+    vector: a zero-reduced-cost non-basic residual column, or a (b+, b-)
+    pair both non-basic at zero reduced cost.  A zero reduced cost on the
+    mirror of a basic coefficient column is ignored; entering it only
+    shifts b+ and b- together and leaves their difference unchanged.
+
+    Under the module's failure rule (_failure_rule) a level fails as
+    "quantile LP failed at tau=...: <reason>": an LP whose dense tableau
+    would exceed 128 MiB (n above about 2890 rows), refused before anything
+    is allocated, an LP without an optimum, and a right-hand side or an
+    objective that overflows.  A tau outside (0, 1) raises ValueError.
     """
     tau = _check_tau(tau)
-    return _certified("quantile LP", tau, lambda: _solve_rq_lp(data, tau))
+    with _failure_rule("quantile LP", tau):
+        n, p = data.X.shape
+        tableau_mb = n * (2 * n + 2 * p + 1) * 8 / 2 ** 20
+        if tableau_mb > _MAX_TABLEAU_MB:
+            raise SolverError(f"n={n}, p={p} needs a {tableau_mb:.0f} MiB simplex tableau; "
+                              f"the dense simplex is limited to {_MAX_TABLEAU_MB} MiB")
+        lifted, lift = _lift(data)
+        start, _ = _fit_start(lifted, tau)
+        A = np.zeros((n, 2 * n + 2 * p), order="F")  # the layout the simplex pivots in
+        A[:, :p] = data.X
+        A[:, p:2 * p] = -data.X
+        rows = np.arange(n)
+        A[rows, 2 * p + rows] = 1.0
+        A[rows, 2 * p + n + rows] = -1.0
+        problem = LPProblem(
+            c=np.concatenate([np.zeros(2 * p), np.full(n, tau), np.full(n, 1.0 - tau)]),
+            A=A,
+            b=lifted.y - data.X @ start,
+        )
+        lp = solve_lp_simplex(problem)
+        if lp.x is None:
+            raise SolverError(f"{lp.status} ({lp.message})")
+        beta = _refine_vertex(lifted, start + (lp.x[:p] - lp.x[p:2 * p]), tau)
 
-
-def _solve_rq_lp(data: Dataset, tau: float) -> QuantileFit:
-    n, p = data.X.shape
-    tableau_mb = n * (2 * n + 2 * p + 1) * 8 / 2 ** 20
-    if tableau_mb > _MAX_TABLEAU_MB:
-        raise SolverError(f"n={n}, p={p} needs a {tableau_mb:.0f} MiB simplex tableau; "
-                          f"the dense simplex is limited to {_MAX_TABLEAU_MB} MiB")
-    start, _ = _fit_start(data, tau)
-    A = np.zeros((n, 2 * n + 2 * p), order="F")  # the layout the simplex pivots in
-    A[:, :p] = data.X
-    A[:, p:2 * p] = -data.X
-    rows = np.arange(n)
-    A[rows, 2 * p + rows] = 1.0
-    A[rows, 2 * p + n + rows] = -1.0
-    problem = LPProblem(
-        c=np.concatenate([np.zeros(2 * p), np.full(n, tau), np.full(n, 1.0 - tau)]),
-        A=A,
-        b=data.y - data.X @ start,
-    )
-    lp = solve_lp_simplex(problem)
-    if lp.x is None:
-        raise SolverError(f"{lp.status} ({lp.message})")
-    beta = start + (lp.x[:p] - lp.x[p:2 * p])
-    beta = _refine_vertex(data, beta, tau)
-
-    zero_rc = set(lp.zero_rc_columns)
-    genuine = any(j >= 2 * p for j in zero_rc) or any(
-        k in zero_rc and k + p in zero_rc for k in range(p)
-    )
-    status = DEGENERATE_MULTIPLE if genuine else CONVERGED
-    if genuine and p == 1:
-        beta = _best_interval_endpoint(data, beta, tau)
-    report = SolveReport(
-        x=beta,
-        fun=classic_total(data, beta, tau),
-        iterations=lp.iterations,
-        status=status,
-        zero_rc_columns=lp.zero_rc_columns,
-    )
-    return QuantileFit(tau=tau, beta=beta, report=report)
+        zero_rc = set(lp.zero_rc_columns)
+        genuine = any(j >= 2 * p for j in zero_rc) or any(
+            k in zero_rc and k + p in zero_rc for k in range(p)
+        )
+        if genuine and p == 1:
+            beta = _best_interval_endpoint(lifted, beta, tau)
+        beta = np.ldexp(beta, -lift)
+        return _finite_fit(tau, SolveReport(
+            x=beta,
+            fun=classic_total(data, beta, tau),
+            iterations=lp.iterations,
+            status=DEGENERATE_MULTIPLE if genuine else CONVERGED,
+            zero_rc_columns=lp.zero_rc_columns,
+        ))
 
 
 class _DirectionSteps:
@@ -448,9 +469,8 @@ class _DirectionSteps:
                     break
                 j += step
         least = min(values.values())
-        if not np.isfinite(least):
-            raise SolverError(f"rrq direction step failed at tau={tau}: "
-                              f"least objective {least} is not finite")
+        if not np.isfinite(least):  # raised in fit_rrq's failure-rule block
+            raise SolverError(f"least objective {least} is not finite")
         bound = tol(least)
         flat = [j for j, g in values.items() if g <= bound]
         lo, hi = float(self.cands[min(flat)]), float(self.cands[max(flat)])
@@ -466,12 +486,16 @@ def fit_rrq(data: Dataset, tau_grid) -> RRQModel:
     (a row with zero scale adds a constant in c), from breakpoints sorted
     once for the whole grid.  If all scales vanish the family collapses to
     the median plane (c = 0 everywhere) and the homoscedastic_degenerate
-    flag is raised.  A level whose least objective along the pencil is not
-    finite raises SolverError "rrq direction step failed at tau=...".
+    flag is raised.  A small response is lifted once for the whole family
+    (_lift), and beta_med, gamma and both reports are scaled back exactly.
+    The two LPs fail as fit_rq_lp does; a direction step whose least
+    objective is not finite fails under the module's failure rule
+    (_failure_rule) as "rrq direction step failed at tau=...".
     """
     grid = TauGrid.coerce(tau_grid)
-    med = fit_rq_lp(data, 0.5)
-    r = data.residuals(med.beta)
+    lifted, lift = _lift(data)
+    med = fit_rq_lp(lifted, 0.5)
+    r = lifted.residuals(med.beta)
     scale_data = Dataset(X=data.X.copy(), y=np.abs(r),
                          column_names=data.column_names,
                          response_name="abs_residual")
@@ -484,20 +508,23 @@ def fit_rrq(data: Dataset, tau_grid) -> RRQModel:
     c = np.zeros(len(grid))
     if not degenerate:
         moving = s != 0
-        # as under the failure rule: a step whose objective overflows fails by tau
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            step = _DirectionSteps(r[moving], s[moving])
-            for k, tau in enumerate(grid):
-                if tau != 0.5:  # c stays 0 at the median anchor itself
+            step = _DirectionSteps(r[moving], s[moving])  # may overflow; a step then fails
+        for k, tau in enumerate(grid):
+            if tau != 0.5:  # c stays 0 at the median anchor itself
+                with _failure_rule("rrq direction step", tau):
                     c[k] = step(tau)
 
+    med_report, scale_report = (replace(fit.report, x=np.ldexp(fit.beta, -lift),
+                                        fun=float(np.ldexp(fit.report.fun, -lift)))
+                                for fit in (med, scale))  # back in data's units, exactly
     return RRQModel(
         taus=grid.values.copy(),
-        beta_med=med.beta,
-        gamma=gamma,
+        beta_med=med_report.x,
+        gamma=scale_report.x,
         c=c,
-        med_report=med.report,
-        scale_report=scale.report,
+        med_report=med_report,
+        scale_report=scale_report,
         homoscedastic_degenerate=degenerate,
         negative_scales=bool((s < 0).any()),
     )

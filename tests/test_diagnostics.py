@@ -83,18 +83,20 @@ class TestCountBelow:
 
     def test_stack_counts_in_bounded_memory(self):
         # the whole 999 x 20000 prediction block would take 152 MiB; the
-        # stack is predicted in blocks, each plane still by its own product
-        rng = np.random.default_rng(3)
-        data = Dataset.from_predictors(rng.normal(size=(20000, 3)), rng.normal(size=20000))
-        stack = 0.3 * rng.normal(size=(999, 4))
-        tracemalloc.start()
-        try:
-            counts = count_below(data, stack)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 24 * 2 ** 20
-        assert counts.tolist() == [int((data.y < data.predict(b)).sum()) for b in stack]
+        # stack is predicted in blocks, each plane still by its own product.
+        # A block of 64 planes at n = 200000 alone would take 98 MiB
+        for n in (20000, 200000):
+            rng = np.random.default_rng(3)
+            data = Dataset.from_predictors(rng.normal(size=(n, 3)), rng.normal(size=n))
+            stack = 0.3 * rng.normal(size=(999, 4))
+            tracemalloc.start()
+            try:
+                counts = count_below(data, stack)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 24 * 2 ** 20, n
+            assert counts.tolist() == [int((data.y < data.predict(b)).sum()) for b in stack]
 
     def test_wrong_stack_shape_rejected(self):
         d = Dataset(X=np.ones((3, 1)), y=[1.0, 2.0, 3.0])

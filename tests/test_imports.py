@@ -80,3 +80,14 @@ def test_runtime_never_imports_scipy(tmp_path):
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout.splitlines()[-1]) == [[0, 0, 0, 0], False]
+
+
+def test_one_failure_rule_names_failed_levels():
+    # estimators._failure_rule is the only place a level's failure gets its
+    # "<fit> failed at tau=" name; a second f-string would be a second rule
+    builders = [f"{path.stem}:{node.lineno}" for path in SOURCES
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.JoinedStr)
+                and any(isinstance(part, ast.Constant) and "failed at tau=" in part.value
+                        for part in node.values)]
+    assert len(builders) == 1 and builders[0].startswith("estimators:"), builders

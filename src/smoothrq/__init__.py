@@ -57,13 +57,7 @@ from .losses import (
     loss_and_grad,
     loss_total,
 )
-from .optim import (
-    LPProblem,
-    SolveReport,
-    SolverError,
-    minimize_qn,
-    solve_lp_simplex,
-)
+from .optim import SolveReport, SolverError
 
 __version__ = "0.1.0"
 
@@ -76,9 +70,8 @@ __all__ = [
     # losses
     "FlexCheckParams", "SRQ", "SMRQ", "check_classic", "check_smooth",
     "classic_total", "grad_total", "hess_total", "loss_and_grad", "loss_total",
-    # optimizers
-    "LPProblem", "SolveReport", "SolverError", "minimize_qn",
-    "solve_lp_simplex",
+    # solver reports and failures (the solvers themselves are internal)
+    "SolveReport", "SolverError",
     # estimators
     "FAILED", "QuantileFit", "RRQModel", "TauGrid", "fit_grid", "fit_rq_lp", "fit_rrq",
     "fit_smooth",

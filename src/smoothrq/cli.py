@@ -377,9 +377,10 @@ def cmd_bench(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     started = time.perf_counter()
     kind = KIND_HETERO_NORMAL if args.kind == "normal" else KIND_PARETO
     last = _replicate_seed(args.seed, len(args.sizes) - 1, args.replicates - 1)
-    if last >= 2 ** 128:  # run_bench's largest replicate seed, checked before any fit
-        parser.error(f"--seed {args.seed} derives replicate seeds up to {last}, "
-                     "past the largest generator seed 2**128 - 1")
+    try:  # run_bench's largest replicate seed, checked before any fit
+        SynthConfig(n=args.sizes[-1], seed=last)  # which holds the seed limit
+    except DataError as exc:
+        parser.error(f"--seed {args.seed} derives replicate seeds up to {last}: {exc}")
     out = _out_dir(args, parser)
 
     table = run_bench(kind, args.sizes, args.replicates, args.seed, args.methods)

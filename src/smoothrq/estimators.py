@@ -32,6 +32,7 @@ SolverError "<fit> failed at tau=<tau>: <reason>".
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
@@ -264,13 +265,21 @@ def fit_smooth(data: Dataset, tau: float, params: FlexCheckParams = SRQ) -> Quan
     response is not lifted as in the exact fits, since c is in units of 1/y.
 
     Under the module's failure rule (_failure_rule) a level fails as
-    "smooth fit failed at tau=...: <reason>": a run the solver did not
-    certify ("stalled, status=..., |grad|=... after N iterations"), X'X
-    that overflows, and a solve that raises.  A tau outside (0, 1) raises
+    "smooth fit failed at tau=...: <reason>": a level whose tau - s lies
+    outside (-1/2, 1/2) in exact arithmetic, where F' never changes sign and
+    the loss has no minimizer, refused before any evaluation; a run the
+    solver did not certify ("stalled, status=..., |grad|=... after N
+    iterations"); X'X that overflows; and a solve that raises.  srq and
+    smrq (s = 1/2) are never refused.  A tau outside (0, 1) raises
     ValueError.
     """
     tau = _check_tau(tau)
     with _failure_rule("smooth fit", tau):
+        # fsum rounds each exact sum once, so its sign is exact: tau - 1/2
+        # rounds to -1/2 at a tiny tau, yet s = 1/2 admits every tau
+        if not math.fsum((tau, -params.s, -0.5)) < 0.0 < math.fsum((tau, -params.s, 0.5)):
+            raise SolverError(f"no minimizer, tau - s = {tau - params.s:g} "
+                              "lies outside (-1/2, 1/2)")
         col_sq = (data.X * data.X).sum(axis=0)
         if not np.isfinite(col_sq).all():
             raise SolverError("X'X overflows the float range")
@@ -371,12 +380,13 @@ def fit_rq_lp(data: Dataset, tau: float) -> QuantileFit:
     whose size is set by a few large values.
 
     The reported objective is the pinball loss re-evaluated at the returned
-    coefficients, on data.  The status is "degenerate-multiple" when the LP
-    optimum admits alternative solutions that actually move the coefficient
-    vector: a zero-reduced-cost non-basic residual column, or a (b+, b-)
-    pair both non-basic at zero reduced cost.  A zero reduced cost on the
-    mirror of a basic coefficient column is ignored; entering it only
-    shifts b+ and b- together and leaves their difference unchanged.
+    coefficients, on data.  This is the one place an rq optimum gets its
+    status: "degenerate-multiple" when the LP optimum admits alternative
+    solutions that actually move the coefficient vector, a zero-reduced-cost
+    non-basic residual column or a (b+, b-) pair both non-basic at zero
+    reduced cost, and "converged" otherwise.  The simplex reports a zero
+    reduced cost on the mirror of every basic coefficient column too, but
+    entering it only shifts b+ and b- together and leaves beta unchanged.
 
     Under the module's failure rule (_failure_rule) a level fails as
     "quantile LP failed at tau=...: <reason>": an LP whose dense tableau
@@ -406,23 +416,17 @@ def fit_rq_lp(data: Dataset, tau: float) -> QuantileFit:
         )
         lp = solve_lp_simplex(problem)
         if lp.x is None:
-            raise SolverError(f"{lp.status} ({lp.message})")
+            raise SolverError(f"no optimum, status={lp.status}")
         beta = _refine_vertex(lifted, start + (lp.x[:p] - lp.x[p:2 * p]), tau)
 
-        zero_rc = set(lp.zero_rc_columns)
-        genuine = any(j >= 2 * p for j in zero_rc) or any(
-            k in zero_rc and k + p in zero_rc for k in range(p)
-        )
+        zero_rc = lp.zero_rc_columns
+        genuine = (zero_rc >= 2 * p).any() or np.isin(zero_rc[zero_rc < p] + p, zero_rc).any()
         if genuine and p == 1:
             beta = _best_interval_endpoint(lifted, beta, tau)
         beta = np.ldexp(beta, -lift)
-        return _finite_fit(tau, SolveReport(
-            x=beta,
-            fun=classic_total(data, beta, tau),
-            iterations=lp.iterations,
-            status=DEGENERATE_MULTIPLE if genuine else CONVERGED,
-            zero_rc_columns=lp.zero_rc_columns,
-        ))
+        return _finite_fit(tau, SolveReport(x=beta, fun=classic_total(data, beta, tau),
+                                            iterations=lp.iterations,
+                                            status=DEGENERATE_MULTIPLE if genuine else CONVERGED))
 
 
 class _DirectionSteps:

@@ -15,6 +15,16 @@ h = 0, s = 1/2, v = 0 the two differ by at most log(2) / (2 c) everywhere,
 so large c makes the smooth loss an arbitrarily tight upper-bounded-error
 stand-in for the pinball loss while keeping gradients exact.
 
+Two identities explain the shape.  At s = 1/2 and h = 0, F is the pinball
+loss convolved with a logistic density of scale 1/(2 c), less
+log(2) / (2 c): F' - tau + 1 = (1 + tanh(c r)) / 2 is that density's
+distribution function, and the bound above is the kernel's bias at r = 0.
+And since (tau - s) r = (tau' - 1/2)(r - h) + (tau - s) h with
+tau' = tau - s + 1/2, F at (c, h, s, v) and level tau is the c-only loss
+(h = 0, s = 1/2, v = 0) of r - h at level tau', plus a constant: a flex fit
+of y at tau is the c-only fit of y - h at tau'.  When tau - s lies outside
+(-1/2, 1/2), F' never changes sign and there is no minimizer.
+
 The kernel evaluates log cosh z as |z| - log 2 + log1p(exp(-2|z|)), which
 is exact up to rounding and cannot overflow for any z.  The derivative
 tanh(c (r - h)) / 2 + (tau - s) runs from tau - 1 to tau when s = 1/2, the

@@ -1,17 +1,19 @@
-"""Deterministic solvers: damped Newton descent and a slack-basis simplex.
+"""Deterministic solvers behind the fits: damped Newton descent and a simplex.
 
-Nothing in this module knows about quantiles.  It provides two primitives
-with reproducible behavior:
+These are internals: only the estimators call them, and their names and
+calling conventions may change.  Nothing in this module knows about
+quantiles; it provides two primitives with reproducible behavior:
 
 * minimize_qn: damped Newton (Levenberg-Marquardt) minimizer for smooth
   convex objectives with an exact Hessian, which scales its damping by the
   diagonal D the caller passes.  Identical inputs produce bit-identical
   outputs.
 * solve_lp_simplex: primal simplex using Bland's anti-cycling rule, which
-  pivots in place on the problem's dense constraint matrix and reports
-  optimum multiplicity when a non-basic column has zero reduced cost.  It
-  starts from a slack basis and has no phase 1: once each row is scaled so
-  its right-hand side is nonnegative, every row must own a unit column (one
+  pivots in place on the problem's dense constraint matrix and reports the
+  non-basic columns with zero reduced cost at the optimum; what they mean
+  for the caller's problem is the caller's to decide.  It starts from a
+  slack basis and has no phase 1: once each row is scaled so its
+  right-hand side is nonnegative, every row must own a unit column (one
   nonzero entry, equal to 1), as the quantile LP [X, -X, I, -I] always
   does.  A problem without one raises ValueError.  A pivot updates only the
   columns where its pivot row is nonzero, so on an m-row matrix it costs
@@ -41,7 +43,7 @@ __all__ = [
 CONVERGED = "converged"
 ITERATION_CAP = "iteration-cap"
 UNBOUNDED = "unbounded"
-DEGENERATE_MULTIPLE = "degenerate-multiple"
+DEGENERATE_MULTIPLE = "degenerate-multiple"  # an rq optimum's label, set by fit_rq_lp
 
 # minimize_qn converges when ||grad||_inf <= _GRAD_TOL * max(1, ||x||_inf),
 # the Hessian is positive definite, and the Newton decrement
@@ -99,24 +101,24 @@ class LPProblem:
 class SolveReport:
     """Outcome of a solver run.
 
-    x is None when the LP solver ends without an optimum: the objective is
-    unbounded or the pivot cap was reached.  Infeasibility is never reported,
-    because the slack basis the LP solver requires is already feasible.
-    grad_norm and decrement are filled by minimize_qn: decrement is half the
-    Newton decrement g'H^-1 g at x, an estimate of f(x) - min f, and inf when
-    the Hessian there is not positive definite or the decrement is past the
-    float range.  zero_rc_columns is filled by the LP solver (indices of
-    non-basic columns with zero reduced cost at the optimum).
+    x is None when the LP solver ends without an optimum, and the status
+    names why: "unbounded" or "iteration-cap".  Infeasibility is never
+    reported, because the slack basis the LP solver requires is already
+    feasible.  grad_norm and decrement are filled by minimize_qn: decrement
+    is half the Newton decrement g'H^-1 g at x, an estimate of f(x) - min f,
+    and inf when the Hessian there is not positive definite or the decrement
+    is past the float range.  zero_rc_columns is filled by the LP solver at
+    an optimum: the ascending indices of the non-basic columns with zero
+    reduced cost.
     """
 
     x: np.ndarray | None
     fun: float | None
     iterations: int
     status: str
-    message: str = ""
     grad_norm: float | None = None
     decrement: float | None = None
-    zero_rc_columns: tuple[int, ...] = ()
+    zero_rc_columns: np.ndarray | None = None
 
 
 def minimize_qn(fun_and_grad, hess, x0, scale) -> SolveReport:
@@ -221,10 +223,9 @@ def solve_lp_simplex(problem: LPProblem) -> SolveReport:
     raises ValueError before any pivot.  A pivot scales and eliminates only
     the k columns where the pivot row is nonzero: O(m*k) work for m rows,
     where a full-tableau pivot would take O(m*n).  Pivoting stops after
-    200 + 50 * (rows + columns) pivots with status "iteration-cap".  At the
-    optimum, any non-basic column with zero reduced cost marks alternative
-    optima and flips the status to "degenerate-multiple"; the indices are
-    reported in zero_rc_columns.
+    200 + 50 * (rows + columns) pivots with status "iteration-cap".  An
+    optimum is "converged", and its non-basic columns with zero reduced cost
+    come back in zero_rc_columns, whether or not they move the solution.
     """
     # LPProblem keeps A in Fortran order, so the columns a pivot gathers come
     # out Fortran-ordered and their transpose is C-contiguous for the rank-1
@@ -267,7 +268,7 @@ def solve_lp_simplex(problem: LPProblem) -> SolveReport:
         col = A[:, q]
         pos = col > 1e-10
         if not pos.any():
-            return SolveReport(None, None, it, UNBOUNDED, "objective decreases without bound")
+            return SolveReport(None, None, it, UNBOUNDED)
         ratios.fill(np.inf)
         np.divide(rhs, col, out=ratios, where=pos)
         rmin = ratios.min()
@@ -299,14 +300,12 @@ def solve_lp_simplex(problem: LPProblem) -> SolveReport:
         rhs[(rhs < 0.0) & (rhs > -1e-9)] = 0.0
         it += 1
     else:
-        return SolveReport(None, None, it, ITERATION_CAP, "pivot cap reached")
+        return SolveReport(None, None, it, ITERATION_CAP)
 
     x = np.zeros(n)
     x[basis] = rhs
     objective = float(c @ x)
-    z_final = c - c[basis] @ A
-    nonbasic = np.setdiff1d(np.arange(n), basis)
-    zero_rc = tuple(int(j) for j in nonbasic if abs(z_final[j]) <= 1e-9 * cost_scale)
-    status = DEGENERATE_MULTIPLE if zero_rc else CONVERGED
-    return SolveReport(x=x, fun=objective, iterations=it, status=status,
-                       zero_rc_columns=zero_rc)
+    zero_rc = np.abs(c - c[basis] @ A) <= 1e-9 * cost_scale
+    zero_rc[basis] = False
+    return SolveReport(x=x, fun=objective, iterations=it, status=CONVERGED,
+                       zero_rc_columns=np.flatnonzero(zero_rc))

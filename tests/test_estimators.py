@@ -13,6 +13,7 @@ from smoothrq import (
     SynthConfig,
     TauGrid,
     check_classic,
+    check_smooth,
     classic_total,
     fit_grid,
     fit_rq_lp,
@@ -325,6 +326,81 @@ class TestFitSmooth:
         # perfbench re-checks every smooth level at FIT_GRAD_RTOL; a converged
         # solve must always pass that re-check
         assert optim._GRAD_TOL <= FIT_GRAD_RTOL
+
+
+class TestFlexShape:
+    """A flex level at (c, h, s, v) is the c-only fit of y - h at tau - s + 1/2."""
+
+    def test_level_without_a_minimizer_is_refused_before_any_evaluation(self, monkeypatch):
+        # tau - s is exactly 1/2 in floating point: F' runs from 0 to 1 and
+        # never changes sign, so the loss falls forever as the plane drops
+        calls = []
+        monkeypatch.setattr(estimators, "loss_and_grad",
+                            lambda *a: calls.append(a) or loss_and_grad(*a))
+        with pytest.raises(SolverError, match=r"^smooth fit failed at tau=0\.9: no minimizer, "
+                                              r"tau - s = 0\.5 lies outside \(-1/2, 1/2\)$"):
+            fit_smooth(load_anscombe(), 0.9, FlexCheckParams(c=5.0, s=0.4))
+        assert calls == []
+
+    def test_grid_fails_exactly_the_levels_past_the_shift(self):
+        grid = TauGrid.from_count(99)
+        out = fit_grid(load_anscombe(), grid, "flex", params=FlexCheckParams(c=5.0, s=0.4))
+        refused = [tau for tau, st in zip(grid, out.statuses) if "no minimizer" in st]
+        assert refused == [tau for tau in grid if tau >= 0.9] and len(refused) == 10
+        assert [st for st in out.statuses if st.startswith(estimators.FAILED)] == \
+            [st for st in out.statuses if "no minimizer" in st]
+
+    @pytest.mark.parametrize("method", ["srq", "smrq"])
+    def test_half_tilt_is_never_refused(self, method):
+        # s = 1/2 puts tau - s inside (-1/2, 1/2) for every tau in (0, 1)
+        out = fit_grid(load_anscombe(), TauGrid.from_count(99), method)
+        assert set(out.statuses) == {CONVERGED}
+        params = SMOOTH_PRESETS[method]
+        # at the smallest tau, tau - 1/2 rounds to -1/2; the rule reads it exactly
+        for tau in (np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)):
+            assert fit_smooth(load_anscombe(), tau, params).report.status == CONVERGED
+
+    def test_identities(self):
+        from scipy.integrate import quad
+
+        # reduction to c: h moves the response and s the level
+        worst = 0.0
+        for data in (load_anscombe(), load_swiss()):
+            grid = TauGrid.from_count(19)
+            for c, h, s, v in ((5.0, 0.3, 0.4, 0.1), (3.0, -0.2, 0.3, 0.1)):
+                out = fit_grid(data, grid, "flex", params=FlexCheckParams(c, h, s, v))
+                shifted = Dataset(X=data.X, y=data.y - h, column_names=data.column_names,
+                                  response_name=data.response_name)
+                admitted = [k for k, tau in enumerate(grid) if abs(tau - s) < 0.5]
+                assert [k for k, st in enumerate(out.statuses) if st == CONVERGED] == admitted
+                for k in admitted:
+                    ref = fit_smooth(shifted, grid.values[k] - s + 0.5, FlexCheckParams(c)).beta
+                    worst = max(worst, np.abs(out.coefficients[k] - ref).max()
+                                / max(1.0, np.abs(ref).max()))
+            # v is only an offset: it moves no coefficient bit
+            smrq = fit_grid(data, grid, "smrq").coefficients
+            c_only = fit_grid(data, grid, "flex", params=FlexCheckParams(0.7)).coefficients
+            assert smrq.tobytes() == c_only.tobytes()
+        assert worst <= 1e-6, worst
+
+        # convolution form: at s = 1/2 and h = 0 the loss is the pinball loss
+        # smoothed by a logistic density of scale 1/(2c), less log(2)/(2c)
+        for c in (0.7, 10.0):
+            scale = 1.0 / (2.0 * c)
+
+            def density(u):
+                e = np.exp(-abs(u) / scale)
+                return e / (scale * (1.0 + e) ** 2)
+
+            for tau in (0.1, 0.5, 0.83):
+                for r in (-3.0, -0.2, 0.0, 0.05, 1.7):
+                    def smoothed(u):
+                        return check_classic(r - u, tau) * density(u)
+
+                    conv = quad(smoothed, -np.inf, r)[0] + quad(smoothed, r, np.inf)[0]
+                    expected = conv - np.log(2.0) * scale
+                    got = check_smooth(r, tau, FlexCheckParams(c))
+                    assert abs(got - expected) <= 1e-9, (c, tau, r, got - expected)
 
 
 class TestFitRqLp:

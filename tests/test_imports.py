@@ -3,6 +3,7 @@
 import ast
 import importlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 import smoothrq
 
 SOURCES = sorted(Path(smoothrq.__file__).parent.glob("*.py"))
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def load(path):
@@ -91,3 +93,23 @@ def test_one_failure_rule_names_failed_levels():
                 and any(isinstance(part, ast.Constant) and "failed at tau=" in part.value
                         for part in node.values)]
     assert len(builders) == 1 and builders[0].startswith("estimators:"), builders
+
+
+def test_every_export_is_documented():
+    # a name the package exports is public, so the README has to say what it
+    # is; the solvers are internal to the fits and are not exported
+    text = README.read_text(encoding="utf-8")
+    names = [name for name in smoothrq.__all__ if name != "__version__"]
+    assert [name for name in names if not re.search(rf"\b{re.escape(name)}\b", text)] == []
+    assert {"LPProblem", "solve_lp_simplex", "minimize_qn"}.isdisjoint(smoothrq.__all__)
+
+
+def test_one_owner_labels_an_rq_optimum():
+    # the simplex reports tied columns; only fit_rq_lp decides whether they
+    # make an rq optimum "degenerate-multiple"
+    readers = sorted({f"{path.stem}:{fn.name}" for path in SOURCES
+                      for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                      if isinstance(fn, ast.FunctionDef)
+                      for node in ast.walk(fn)
+                      if isinstance(node, ast.Name) and node.id == "DEGENERATE_MULTIPLE"})
+    assert readers == ["estimators:fit_rq_lp"]
